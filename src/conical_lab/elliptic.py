@@ -21,7 +21,15 @@ steps recorded in the build report. If the basis is still ill conditioned
 the operator keeps no eigenbasis: arbitrary scalar functions raise
 ConditioningError, while the semigroup families remain available through
 dense expm/sqrtm evaluations. That is the honest route for defective
-spectra, where a diagonal calculus has no accuracy to offer.
+spectra, where a diagonal calculus has no accuracy to offer. The dense
+matrices are cached per operator and built once, also when sample threads
+ask for the same one at the same time.
+
+EllipticOperator.ladder evaluates one family member at every level of a
+time ladder. In the eigen tiers (direct route) f is projected onto the
+eigenbasis once, and all levels, time components included, come from one
+matrix product of the basis with the stacked symbols; the dense fallback and
+the subordination route evaluate level by level.
 
 The Poisson semigroup comes in two routes: the direct principal-branch
 calculus phi(z) = (t^2 z)^K e^{-t sqrt(z)} and the subordination rule
@@ -41,6 +49,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 
@@ -83,6 +92,12 @@ def _fwd(arr, n, j, h):
 def _bwd(arr, n, j, h):
     ax = _grid_axis(arr, n, j)
     return (arr - np.roll(arr, 1, axis=ax)) / h
+
+
+def _adjoint_product(A, cols):
+    """A^H cols as conj(A^T conj(cols)): A^T is a view, so no conjugate
+    transpose of A is materialized."""
+    return (A.T @ cols.conj()).conj()
 
 
 def _ctr(arr, n, j, h):
@@ -230,9 +245,9 @@ class EllipticOperator:
         self._V = V
         self._eigs = eigs
         self._lu = lu
-        self._exp_cache = {}
-        self._sqrt = None
-        self._inv_basis = None
+        self._cache = {}
+        self._cache_lock = threading.Lock()
+        self._key_locks = {}
 
     # ---------------------------------------------------------- plumbing
 
@@ -269,37 +284,56 @@ class EllipticOperator:
     def has_eigenbasis(self):
         return self._eigs is not None
 
+    def _project(self, cols):
+        """Eigenbasis coordinates V^-1 cols; in the unitary case V^H cols,
+        formed as conj(V^T conj(cols)) so that V^H is never copied out."""
+        if self.report.hermitian:
+            return _adjoint_product(self._V, cols)
+        return sla.lu_solve(self._lu, cols)
+
     def _diag_apply(self, phi_vals, cols, adjoint=False):
         V = self._V
         if self.report.hermitian:
             pv = np.conj(phi_vals) if adjoint else phi_vals
-            return V @ (pv[:, None] * (V.conj().T @ cols))
+            return V @ (pv[:, None] * self._project(cols))
         if adjoint:
             # (V D V^-1)^H = V^-H conj(D) V^H
-            z = np.conj(phi_vals)[:, None] * (V.conj().T @ cols)
+            z = np.conj(phi_vals)[:, None] * _adjoint_product(V, cols)
             return sla.lu_solve(self._lu, z, trans=2)
-        return V @ (phi_vals[:, None] * sla.lu_solve(self._lu, cols))
+        return V @ (phi_vals[:, None] * self._project(cols))
+
+    def _cached(self, key, build):
+        """Dense cache entry built once per key, also when several threads
+        ask for it at the same time; distinct keys build in parallel."""
+        with self._cache_lock:
+            lock = self._key_locks.setdefault(key, threading.Lock())
+        with lock:
+            hit = self._cache.get(key)
+            if hit is None:
+                hit = self._cache[key] = build()
+        return hit
 
     def _expm(self, key, tau, gen=None):
         """Dense e^{-tau G} cached by key; G defaults to the operator matrix."""
-        hit = self._exp_cache.get((key, tau))
-        if hit is None:
-            G = self.matrix if gen is None else gen
-            hit = sla.expm(-tau * G)
-            self._exp_cache[(key, tau)] = hit
-        return hit
+        G = self.matrix if gen is None else gen
+        return self._cached((key, tau), lambda: sla.expm(-tau * G))
 
     def _sqrt_matrix(self):
-        if self._sqrt is None:
-            # sqrt is not Lipschitz at the zero eigenvalue and dense sqrtm
-            # loses ~1e-7 on the constant mode; L1 = 0 holds exactly, so
-            # shift that mode to 1, take the root, and shift back
-            nc = self.ncells
-            J = np.full((nc, nc), 1.0 / nc, dtype=complex)
-            S, err = sla.sqrtm(self.matrix + J, disp=False)
-            self._sqrt = np.ascontiguousarray((S - J).astype(complex))
-            self.report.notes.append(f"sqrtm errest {float(err):.2e}")
-        return self._sqrt
+        return self._cached("sqrt", self._build_sqrt)
+
+    def _build_sqrt(self):
+        # sqrt is not Lipschitz at the zero eigenvalue and dense sqrtm
+        # loses ~1e-7 on the constant mode; L1 = 0 holds exactly, so
+        # shift that mode to 1, take the root, and shift back
+        nc = self.ncells
+        J = np.full((nc, nc), 1.0 / nc, dtype=complex)
+        A = self.matrix + J
+        S = sla.sqrtm(A)
+        resid = float(np.linalg.norm(S @ S - A) / np.linalg.norm(A))
+        if not resid <= 1e-10:
+            raise RuntimeError(f"sqrtm residual {resid:.1e} above 1e-10")
+        self.report.notes.append(f"sqrtm residual {resid:.1e}")
+        return np.ascontiguousarray((S - J).astype(complex))
 
     # ----------------------------------------------------- scalar calculus
 
@@ -392,17 +426,18 @@ class EllipticOperator:
         The time component is evaluated analytically: t d/dt of the family
         equals 2m Q_m - 2 Q_{m+1} with Q_j = (t^2 L)^j e^{-t^2 L}.
         """
+        return self._gradient("heat", t, m, f, mode, "direct")
+
+    def poisson_gradient(self, t, K, f, mode="spatial", method="direct"):
+        """t grad (t sqrt(L))^{2K} e^{-t sqrt(L)} f; time component analytic:
+        2K P_K - phi_{K+1/2}(L) with phi_{K+1/2}(z) = (t sqrt(z))^{2K+1} e^{-t sqrt(z)}."""
+        return self._gradient("poisson", t, K, f, mode, method)
+
+    def _gradient(self, family, t, m, f, mode, method):
         if mode not in ("spatial", "full"):
             raise ValueError("mode must be spatial or full")
         cols, tag = self._as_columns(f)
-        base = self._heat_cols(t, int(m), cols)
-        B = cols.shape[1]
-        fields = base.T.reshape(B, *self.grid.shape)
-        comps = list(self._spatial_stack(t, fields))
-        if mode == "full":
-            tcol = 2 * m * base - 2 * self._heat_cols(t, int(m) + 1, cols)
-            comps.append(tcol.T.reshape(B, *self.grid.shape))
-        out = np.stack(comps)
+        out = self._member(family, t, int(m), mode, cols, method)
         if tag[0] == "batch":
             return out
         out = out[:, 0]
@@ -410,26 +445,81 @@ class EllipticOperator:
             return out.reshape(out.shape[0], -1)
         return out
 
-    def poisson_gradient(self, t, K, f, mode="spatial", method="direct"):
-        """t grad (t sqrt(L))^{2K} e^{-t sqrt(L)} f; time component analytic:
-        2K P_K - phi_{K+1/2}(L) with phi_{K+1/2}(z) = (t sqrt(z))^{2K+1} e^{-t sqrt(z)}."""
-        if mode not in ("spatial", "full"):
-            raise ValueError("mode must be spatial or full")
-        cols, tag = self._as_columns(f)
-        base = self._poisson_cols(t, int(K), cols, method=method)
+    def _member(self, family, t, m, derivative, cols, method):
+        """One family member at one time on columns: (comps, B, *grid.shape)."""
+        if family == "heat":
+            base = self._heat_cols(t, m, cols)
+        else:
+            base = self._poisson_cols(t, m, cols, method=method)
         B = cols.shape[1]
         fields = base.T.reshape(B, *self.grid.shape)
+        if derivative == "none":
+            return fields[None]
         comps = list(self._spatial_stack(t, fields))
-        if mode == "full":
-            tcol = 2 * K * base - self._half_order_cols(t, K, cols, method)
+        if derivative == "full":
+            if family == "heat":
+                tcol = 2 * m * base - 2 * self._heat_cols(t, m + 1, cols)
+            else:
+                tcol = 2 * m * base - self._half_order_cols(t, m, cols, method)
             comps.append(tcol.T.reshape(B, *self.grid.shape))
-        out = np.stack(comps)
-        if tag[0] == "batch":
-            return out
-        out = out[:, 0]
-        if tag[0] == "flat":
-            return out.reshape(out.shape[0], -1)
-        return out
+        return np.stack(comps)
+
+    # --------------------------------------------------------- time ladder
+
+    def ladder(self, family, order, derivative, levels, f, method="direct"):
+        """One family member at every time of levels, for one field f.
+
+        family, order and derivative name the member as SemigroupRequest
+        does: "none" is the family itself, "spatial" and "full" are the
+        components of heat_gradient / poisson_gradient. Returns an array of
+        shape (len(levels), comps, *grid.shape). method selects the Poisson
+        route and is ignored by the heat family.
+
+        In the eigen tiers on the direct route f is projected once and every
+        level comes from one product V (Phi o c)^T, Phi holding the symbols
+        of all levels (and their time components) as rows. The dense
+        fallback and the subordination route go level by level.
+        """
+        times = np.asarray(levels, dtype=float)
+        if times.ndim != 1 or times.size == 0:
+            raise ValueError("levels must be a nonempty sequence of times")
+        SemigroupRequest(family, float(times.min()), order, derivative)
+        if method not in ("direct", "subordination"):
+            raise ValueError(f"unknown method {method!r}")
+        cols, _ = self._as_columns(f)
+        if cols.shape[1] != 1:
+            raise ValueError("ladder takes a single field, not a batch")
+        m = int(order)
+        if not self.has_eigenbasis or (family == "poisson" and method != "direct"):
+            return np.stack([self._member(family, t, m, derivative, cols, method)[:, 0]
+                             for t in times])
+
+        t = times[:, None]
+        lam = self._eigs
+        if family == "heat":
+            tau = t * t
+            decay = np.exp(-tau * lam)
+            rows = [(tau * lam) ** m * decay]
+            if derivative == "full":
+                rows.append(2 * m * rows[0] - 2 * ((tau * lam) ** (m + 1) * decay))
+        else:
+            root = np.sqrt(lam)  # principal branch, Re >= 0
+            decay = np.exp(-t * root)
+            rows = [(t * t * lam) ** m * decay]
+            if derivative == "full":
+                rows.append(2 * m * rows[0] - (t * root) ** (2 * m + 1) * decay)
+        phi = np.concatenate(rows)
+        c = self._project(cols)[:, 0]
+        vals = ((phi * c) @ self._V.T).reshape(len(rows), times.size, *self.grid.shape)
+        base = vals[0]
+        if derivative == "none":
+            return base[:, None]
+        n, h = self.grid.n, self.grid.h
+        tb = times.reshape(-1, *([1] * n))
+        comps = [tb * _fwd(base, n, j, h) for j in range(n)]
+        if derivative == "full":
+            comps.append(vals[1])
+        return np.stack(comps, axis=1)
 
     def _half_order_cols(self, t, K, cols, method="direct", adjoint=False):
         # (t sqrt(L))^{2K+1} e^{-t sqrt(L)}
@@ -535,33 +625,10 @@ def assemble(grid, coeff, cond_bound=1e8, perturb_size=1e-10, perturb_seed=20240
         return EllipticOperator(grid, coeff, Mp, report, V=V2, eigs=eigs2,
                                 lu=sla.lu_factor(V2))
 
-    report = BuildReport("dense-fallback", False, min(cond, cond2), True, threads,
+    report = BuildReport("dense-fallback", False, min(cond, cond2), False, threads,
                          notes=[f"cond {cond:.2e} raw, {cond2:.2e} after perturbation; "
                                 "no eigenbasis kept, semigroups run via expm/sqrtm"])
     return EllipticOperator(grid, coeff, M, report)
-
-
-# ------------------------------------------------- module-level op wrappers
-
-
-def apply_matrix_function(op, phi, f):
-    return op.apply_matrix_function(phi, f)
-
-
-def heat_family(op, t, m, f):
-    return op.heat(t, m, f)
-
-
-def heat_gradient(op, t, m, f, mode="spatial"):
-    return op.heat_gradient(t, m, f, mode)
-
-
-def poisson_family(op, t, K, f, method="direct"):
-    return op.poisson(t, K, f, method=method)
-
-
-def poisson_gradient(op, t, K, f, mode="spatial", method="direct"):
-    return op.poisson_gradient(t, K, f, mode, method)
 
 
 # --------------------------------------------------------- restricted norms
@@ -719,10 +786,11 @@ def _dense_family(op, family, t):
             phi = np.exp(-t * np.sqrt(op._eigs))
         W = op._V * phi[None, :]
         if op.report.hermitian:
-            return W @ op._V.conj().T
-        if op._inv_basis is None:
-            op._inv_basis = sla.lu_solve(op._lu, np.eye(op.ncells, dtype=complex))
-        return W @ op._inv_basis
+            # W V^H as conj(conj(W) V^T), in place, with V^T a view
+            P = np.conj(W, out=W) @ op._V.T
+            return np.conj(P, out=P)
+        return W @ op._cached("inv", lambda: sla.lu_solve(
+            op._lu, np.eye(op.ncells, dtype=complex)))
     if family == "heat":
         return op._expm("h", t * t)
     return op._expm("p", t, gen=op._sqrt_matrix())

@@ -65,21 +65,12 @@ def integrand_field(op, spec, f, method="direct"):
     """
     tg = spec.tgrid if spec.tgrid is not None else TimeGrid.spanning(op.grid)
     semigroup, kind, _ = FAMILIES[spec.family]
-    mags = np.empty((len(tg.levels), *op.grid.shape))
-    for k, t in enumerate(tg.levels):
-        if kind == "s":
-            if semigroup == "heat":
-                v = op.heat(t, spec.order, f)
-            else:
-                v = op.poisson(t, spec.order, f, method=method)
-            mags[k] = np.abs(v.values)
-        else:
-            mode = "spatial" if kind == "g" else "full"
-            if semigroup == "heat":
-                comps = op.heat_gradient(t, spec.order, f, mode=mode)
-            else:
-                comps = op.poisson_gradient(t, spec.order, f, mode=mode, method=method)
-            mags[k] = np.sqrt((np.abs(comps) ** 2).sum(axis=0))
+    derivative = {"s": "none", "g": "spatial", "gcal": "full"}[kind]
+    comps = op.ladder(semigroup, spec.order, derivative, tg.levels, f, method=method)
+    if kind == "s":
+        mags = np.abs(comps[:, 0])
+    else:
+        mags = np.sqrt((np.abs(comps) ** 2).sum(axis=1))
     return UpperHalfField(op.grid, tg, mags)
 
 
@@ -133,31 +124,21 @@ def pointwise_domination_report(op, f, orders=(0, 1, 2), tgrid=None, method="dir
     heat_zero_time = heat_zero_full = None
     for semigroup in ("heat", "poisson"):
         for m in orders:
-            g_mags = np.empty((len(tg.levels), *grid.shape))
-            full_mags = np.empty_like(g_mags)
-            time_mags = np.empty_like(g_mags)
-            for k, t in enumerate(tg.levels):
-                if semigroup == "heat":
-                    comps = op.heat_gradient(t, m, f, mode="full")
-                else:
-                    comps = op.poisson_gradient(t, m, f, mode="full", method=method)
-                sq = np.abs(comps) ** 2
-                g_mags[k] = np.sqrt(sq[: grid.n].sum(axis=0))
-                full_mags[k] = np.sqrt(sq.sum(axis=0))
-                time_mags[k] = np.abs(comps[-1])
+            comps = op.ladder(semigroup, m, "full", tg.levels, f, method=method)
+            sq = np.abs(comps) ** 2
+            g_mags = np.sqrt(sq[:, : grid.n].sum(axis=1))
+            full_mags = np.sqrt(sq.sum(axis=1))
             gap = cone_of(g_mags) - cone_of(full_mags)
             worst[semigroup] = max(worst[semigroup], float(gap.max()))
             if semigroup == "heat" and m == 0:
-                heat_zero_time, heat_zero_full = time_mags, full_mags
+                heat_zero_time, heat_zero_full = np.abs(comps[:, -1]), full_mags
 
     if heat_zero_full is None:
         raise ValueError("orders must include 0 for the factor-two check")
 
     # t d/dt e^{-t^2 L} = -2 (t^2 L) e^{-t^2 L}: the order-one s-integrand
     # is half the time component of the order-zero space-time gradient
-    s_mags = np.empty((len(tg.levels), *grid.shape))
-    for k, t in enumerate(tg.levels):
-        s_mags[k] = np.abs(op.heat(t, 1, f).values)
+    s_mags = np.abs(op.ladder("heat", 1, "none", tg.levels, f)[:, 0])
     ident = float(np.abs(s_mags - 0.5 * heat_zero_time).max())
     s_gap = cone_of(s_mags) - 2.0 * cone_of(heat_zero_full)
 

@@ -7,12 +7,21 @@ from the module under test.
 """
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conical_lab.grid import Grid, GridFunction, torus_distance, write_gridfunction
+from conical_lab.grid import (
+    Grid,
+    GridFunction,
+    TimeGrid,
+    torus_distance,
+    write_gridfunction,
+)
 from conical_lab import elliptic as el
 from conical_lab.elliptic import (
     CoefficientField,
@@ -238,6 +247,82 @@ def test_build_report_tiers(lap1, pert1_8, pert1_16, cross2):
     assert cross2.report.tier == "eig" and not cross2.report.hermitian
 
 
+def test_dense_fallback_keeps_unperturbed_matrix(pert1_16):
+    # the trial perturbation is discarded when it does not rescue the basis
+    assert pert1_16.report.perturbed is False
+    g = pert1_16.grid
+    stencil = np.stack([ref_divform(pert1_16.coeff, e.reshape(g.shape)).ravel()
+                        for e in np.eye(g.ncells)], axis=1)
+    assert np.array_equal(pert1_16.matrix, stencil)
+
+
+def test_sqrtm_residual_recorded():
+    g = Grid(1, 16)
+    op = assemble(g, CoefficientField.preset(g, "perturbed"))
+    op.poisson(0.2, 0, np.ones(g.shape))
+    notes = [n for n in op.report.notes if n.startswith("sqrtm residual")]
+    assert len(notes) == 1
+    assert float(notes[0].split()[-1]) <= 1e-10
+
+
+def test_sqrtm_residual_guard(monkeypatch):
+    g = Grid(1, 16)
+    op = assemble(g, CoefficientField.preset(g, "perturbed"))
+    monkeypatch.setattr(el.sla, "sqrtm", lambda A: np.eye(A.shape[0], dtype=complex))
+    with pytest.raises(RuntimeError, match="sqrtm residual"):
+        op.poisson(0.2, 0, np.ones(g.shape))
+
+
+def test_dense_caches_built_once_under_threads(monkeypatch):
+    # more threads than cores walk the same ladder on a fresh operator;
+    # every dense matrix must be computed by one of them only
+    g = Grid(1, 16)
+    op = assemble(g, CoefficientField.preset(g, "perturbed"))
+    assert op.report.tier == "dense-fallback"
+    calls = {"expm": [], "sqrtm": 0}
+    real_expm, real_sqrtm = el.sla.expm, el.sla.sqrtm
+
+    def expm(A):
+        calls["expm"].append(A.tobytes())
+        time.sleep(0.02)  # widen the window in which a second build could start
+        return real_expm(A)
+
+    def sqrtm(A):
+        calls["sqrtm"] += 1
+        time.sleep(0.02)
+        return real_sqrtm(A)
+
+    monkeypatch.setattr(el.sla, "expm", expm)
+    monkeypatch.setattr(el.sla, "sqrtm", sqrtm)
+    times = (0.05, 0.1, 0.2)
+    f = np.cos(2 * np.pi * g.cell_centers()[..., 0])
+    workers = 4
+    start = threading.Barrier(workers, timeout=60)
+    results = [None] * workers
+
+    def work(slot):
+        start.wait()
+        results[slot] = [op.heat(t, 0, f) for t in times] + [op.poisson(t, 0, f) for t in times]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(calls["expm"]) == 2 * len(times)
+    assert len(set(calls["expm"])) == len(calls["expm"])
+    assert calls["sqrtm"] == 1
+    for other in results[1:]:
+        for a, b in zip(results[0], other):
+            assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------- scalar calculus
 
 
@@ -451,6 +536,72 @@ def test_gradient_modes_and_validation(lap1):
         lap1.heat_gradient(0.2, 0, f, mode="radial")
     with pytest.raises(ValueError, match="mode"):
         lap1.poisson_gradient(0.2, 0, f, mode="radial")
+
+
+# -------------------------------------------------------------- time ladder
+
+
+def _per_level(op, family, order, derivative, t, f, method="direct"):
+    if derivative == "none":
+        if family == "heat":
+            return op.heat(t, order, f)[None]
+        return op.poisson(t, order, f, method=method)[None]
+    if family == "heat":
+        return op.heat_gradient(t, order, f, mode=derivative)
+    return op.poisson_gradient(t, order, f, mode=derivative, method=method)
+
+
+@pytest.mark.parametrize("fix", ["lap1", "pert1_8", "cross2", "pert1_16"])
+def test_ladder_matches_per_level(fix, request):
+    op = request.getfixturevalue(fix)
+    g = op.grid
+    rng = np.random.default_rng(23)
+    f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    levels = TimeGrid.spanning(g).levels
+    # eigenbasis round trips lose about cond * eps in the eig tier
+    tol = 1e-12 * (op.report.cond if op.report.tier == "eig" else 1.0)
+    for family in ("heat", "poisson"):
+        for derivative in ("none", "spatial", "full"):
+            for order in (0, 1, 2):
+                got = op.ladder(family, order, derivative, levels, f)
+                ncomp = {"none": 1, "spatial": g.n, "full": g.n + 1}[derivative]
+                assert got.shape == (len(levels), ncomp, *g.shape)
+                for k, t in enumerate(levels):
+                    want = _per_level(op, family, order, derivative, t, f)
+                    # at large t the differences cancel the near-constant
+                    # member, so both routes carry roundoff of the member's size
+                    member = _per_level(op, family, order, "none", t, f)
+                    scale = max(np.linalg.norm(want), np.linalg.norm(member))
+                    err = np.linalg.norm(got[k] - want) / scale
+                    assert err < tol, (family, derivative, order, t)
+
+
+def test_ladder_subordination_route(lap1):
+    g = lap1.grid
+    f = GridFunction(g, np.sin(2 * np.pi * g.cell_centers()[..., 0]) + 0j)
+    levels = (0.2, 0.4)
+    got = lap1.ladder("poisson", 1, "full", levels, f, method="subordination")
+    for k, t in enumerate(levels):
+        want = lap1.poisson_gradient(t, 1, f, mode="full", method="subordination")
+        assert np.array_equal(got[k], want)
+
+
+def test_ladder_validation(lap1):
+    f = np.ones(lap1.grid.shape)
+    with pytest.raises(ValueError, match="family"):
+        lap1.ladder("wave", 0, "none", (0.1,), f)
+    with pytest.raises(ValueError, match="derivative"):
+        lap1.ladder("heat", 0, "radial", (0.1,), f)
+    with pytest.raises(ValueError, match="order"):
+        lap1.ladder("heat", -1, "none", (0.1,), f)
+    with pytest.raises(ValueError, match="time"):
+        lap1.ladder("heat", 0, "none", (0.1, 0.0), f)
+    with pytest.raises(ValueError, match="nonempty"):
+        lap1.ladder("heat", 0, "none", (), f)
+    with pytest.raises(ValueError, match="unknown method"):
+        lap1.ladder("poisson", 0, "none", (0.1,), f, method="cayley")
+    with pytest.raises(ValueError, match="single field"):
+        lap1.ladder("heat", 0, "none", (0.1,), np.ones((2, *lap1.grid.shape)))
 
 
 # ----------------------------------------------------------------- adjoints
