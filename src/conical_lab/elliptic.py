@@ -11,19 +11,23 @@ Diagonal entries differentiate with the forward difference at their own
 face; cross terms use the centered difference averaged between the two
 cells sharing the face.
 
-Functional calculus is built once per operator, in tiers. A Hermitian
-matrix gets a unitary diagonalization, and every scalar function of L is
-available. A non-Hermitian matrix gets a general eigendecomposition,
-accepted while the eigenbasis condition number stays below a configured
-bound (default 1e8); above the bound a random diagonal perturbation of
-size 1e-10 is applied once and the decomposition recomputed, with both
-steps recorded in the build report. If the basis is still ill conditioned
-the operator keeps no eigenbasis: arbitrary scalar functions raise
+Functional calculus is built once per operator, in three tiers. A
+Hermitian matrix gets a unitary diagonalization ("hermitian-eig"), and every
+scalar function of L is available. Any other matrix gets a general
+eigendecomposition ("eig"), accepted while the eigenbasis condition number
+stays below the constant bound 1e8. Above the bound the operator keeps no
+eigenbasis ("dense-fallback"): arbitrary scalar functions raise
 ConditioningError, while the semigroup families remain available through
-dense expm/sqrtm evaluations. That is the honest route for defective
-spectra, where a diagonal calculus has no accuracy to offer. The dense
-matrices are cached per operator and built once, also when sample threads
-ask for the same one at the same time.
+dense expm/sqrtm evaluations of the assembled matrix itself, so L1 = 0 stays
+exact. That is the honest route for defective spectra, where a diagonal
+calculus has no accuracy to offer. The dense matrices are cached per
+operator and built once, also when concurrent samples ask for the same one
+at the same time.
+
+Every family member goes through one seam: _symbol writes the spectral
+symbols, _apply evaluates a member on columns in whichever tier the operator
+has (or by subordination), and _member adds the scaled gradients and the
+adjoint.
 
 EllipticOperator.ladder evaluates one family member at every level of a
 time ladder. In the eigen tiers (direct route) f is projected onto the
@@ -47,7 +51,6 @@ direct route is the accurate one.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import threading
 from dataclasses import dataclass, field as dfield
@@ -203,13 +206,15 @@ def apply_divform(coeff, f):
 # ------------------------------------------------------------- the operator
 
 
+# eigenbasis condition above which a non-Hermitian operator keeps no basis
+_COND_BOUND = 1e8
+
+
 @dataclass
 class BuildReport:
     tier: str
     hermitian: bool
     cond: float
-    perturbed: bool
-    threads: int
     notes: list = dfield(default_factory=list)
 
 
@@ -276,10 +281,6 @@ class EllipticOperator:
             return cols[:, 0]
         return cols.T.reshape(tag[1], *self.grid.shape)
 
-    def matvec(self, cols, adjoint=False):
-        M = self.matrix
-        return (M.conj().T @ cols) if adjoint else (M @ cols)
-
     @property
     def has_eigenbasis(self):
         return self._eigs is not None
@@ -303,7 +304,7 @@ class EllipticOperator:
         return V @ (phi_vals[:, None] * self._project(cols))
 
     def _cached(self, key, build):
-        """Dense cache entry built once per key, also when several threads
+        """Dense cache entry built once per key, also when several callers
         ask for it at the same time; distinct keys build in parallel."""
         with self._cache_lock:
             lock = self._key_locks.setdefault(key, threading.Lock())
@@ -346,10 +347,9 @@ class EllipticOperator:
         cols, tag = self._as_columns(f)
         if not self.has_eigenbasis:
             raise ConditioningError(
-                f"eigenbasis condition {self.report.cond:.2e} exceeds the bound even "
-                "after the recorded diagonal perturbation; arbitrary scalar functions "
-                "are unavailable, but heat/poisson families and their gradients run "
-                "through dense routes")
+                f"eigenbasis condition {self.report.cond:.2e} exceeds {_COND_BOUND:.0e}; "
+                "arbitrary scalar functions are unavailable, but heat/poisson families "
+                "and their gradients run through dense routes")
         vals = np.asarray(phi(self._eigs), dtype=complex)
         if vals.shape != self._eigs.shape:
             raise ValueError("phi must map the spectrum array elementwise")
@@ -359,15 +359,67 @@ class EllipticOperator:
 
     # ---------------------------------------------------------- semigroups
 
-    def _heat_cols(self, t, m, cols, adjoint=False):
-        tau = t * t
+    def _symbol(self, family, t, m, half=False):
+        """Symbol of one member on the spectrum; t is a time or a column of
+        times. The only place the symbols are written:
+
+            heat      (t^2 z)^m e^{-t^2 z}
+            poisson   (t^2 z)^m e^{-t sqrt(z)}
+
+        half=True gives the term R in t d/dt (member) = 2m (member) - R:
+        2 (t^2 z)^{m+1} e^{-t^2 z} for heat, the half order
+        (t sqrt(z))^{2m+1} e^{-t sqrt(z)} for Poisson.
+        """
+        lam = self._eigs
+        if family == "heat":
+            if half:
+                return 2 * self._symbol("heat", t, m + 1)
+            tau = t * t
+            return (tau * lam) ** m * np.exp(-tau * lam)
+        root = np.sqrt(lam)  # principal branch, Re >= 0
+        if half:
+            return (t * root) ** (2 * m + 1) * np.exp(-t * root)
+        return (t * t * lam) ** m * np.exp(-t * root)
+
+    def _apply(self, family, t, m, cols, method="direct", half=False, adjoint=False):
+        """The member (or its term R, see _symbol) on columns, or its adjoint.
+
+        The eigen tiers scale the symbol in the basis. The dense fallback
+        applies the cached expm, then 2 t^2 M (heat) or t S (Poisson) for
+        R, then m products with t^2 M. On the subordination route the Poisson
+        member is a weighted sum of heat members of order m at the times
+        s = t / (2 sqrt(u)), with node weight (4u)^m since t^2 L = (4u) s^2 L;
+        t d/dt acts on each term as s d/ds, so R is the same sum of heat R.
+        """
+        if method not in ("direct", "subordination"):
+            raise ValueError(f"unknown method {method!r}")
+        if family == "poisson" and method == "subordination":
+            u, w, norm = _genlaguerre_rule(48)
+            _subordination_tail_check(m, u[-1], 1e-8, 48)
+            out = np.zeros_like(cols)
+            for ui, wi in zip(u, w):
+                s = t / (2 * math.sqrt(ui))
+                out += (wi * (4 * ui) ** m) * self._apply("heat", s, m, cols, half=half,
+                                                          adjoint=adjoint)
+            return out / norm
         if self.has_eigenbasis:
-            phi = (tau * self._eigs) ** m * np.exp(-tau * self._eigs)
-            return self._diag_apply(phi, cols, adjoint)
-        E = self._expm("h", tau)
-        out = (E.conj().T @ cols) if adjoint else (E @ cols)
+            return self._diag_apply(self._symbol(family, t, m, half), cols, adjoint)
+
+        def mul(A, x):
+            return _adjoint_product(A, x) if adjoint else A @ x
+
+        tau = t * t
+        if family == "heat":
+            out = mul(self._expm("h", tau), cols)
+            if half:
+                out = 2 * tau * mul(self.matrix, out)
+        else:
+            S = self._sqrt_matrix()
+            out = mul(self._expm("p", t, gen=S), cols)
+            if half:
+                out = t * mul(S, out)
         for _ in range(m):
-            out = tau * self.matvec(out, adjoint)
+            out = tau * mul(self.matrix, out)
         return out
 
     def heat(self, t, m, f, adjoint=False):
@@ -377,32 +429,7 @@ class EllipticOperator:
         if m < 0 or int(m) != m:
             raise ValueError("m must be a nonnegative integer")
         cols, tag = self._as_columns(f)
-        return self._wrap(self._heat_cols(t, int(m), cols, adjoint), tag)
-
-    def _poisson_cols(self, t, K, cols, adjoint=False, method="direct"):
-        if method == "subordination":
-            return self._subordinate_cols(t, K, cols, adjoint)
-        if method != "direct":
-            raise ValueError(f"unknown method {method!r}")
-        if self.has_eigenbasis:
-            root = np.sqrt(self._eigs)  # principal branch, Re >= 0
-            phi = (t * t * self._eigs) ** K * np.exp(-t * root)
-            return self._diag_apply(phi, cols, adjoint)
-        S = self._sqrt_matrix()
-        E = self._expm("p", t, gen=S)
-        out = (E.conj().T @ cols) if adjoint else (E @ cols)
-        for _ in range(K):
-            out = (t * t) * self.matvec(out, adjoint)
-        return out
-
-    def _subordinate_cols(self, t, K, cols, adjoint=False, nodes=48, tol=1e-8):
-        u, w, norm = _genlaguerre_rule(nodes)
-        _subordination_tail_check(K, u[-1], tol, nodes)
-        out = np.zeros_like(cols)
-        for ui, wi in zip(u, w):
-            s = t / (2 * math.sqrt(ui))
-            out += (wi * (4 * ui) ** K) * self._heat_cols(s, K, cols, adjoint)
-        return out / norm
+        return self._wrap(self._apply("heat", t, int(m), cols, adjoint=adjoint), tag)
 
     def poisson(self, t, K, f, method="direct", adjoint=False):
         """(t sqrt(L))^{2K} e^{-t sqrt(L)} f."""
@@ -411,14 +438,9 @@ class EllipticOperator:
         if K < 0 or int(K) != K:
             raise ValueError("K must be a nonnegative integer")
         cols, tag = self._as_columns(f)
-        return self._wrap(self._poisson_cols(t, int(K), cols, adjoint, method), tag)
+        return self._wrap(self._apply("poisson", t, int(K), cols, method, adjoint=adjoint), tag)
 
     # ------------------------------------------------------------ gradients
-
-    def _spatial_stack(self, t, field_batch):
-        # field_batch: (B, *shape) -> (n, B, *shape), t * forward difference
-        n, h = self.grid.n, self.grid.h
-        return np.stack([t * _fwd(field_batch, n, j, h) for j in range(n)])
 
     def heat_gradient(self, t, m, f, mode="spatial"):
         """t grad (t^2 L)^m e^{-t^2 L} f; components axes 0..n-1, then time.
@@ -438,30 +460,43 @@ class EllipticOperator:
             raise ValueError("mode must be spatial or full")
         cols, tag = self._as_columns(f)
         out = self._member(family, t, int(m), mode, cols, method)
-        if tag[0] == "batch":
-            return out
-        out = out[:, 0]
         if tag[0] == "flat":
-            return out.reshape(out.shape[0], -1)
-        return out
+            return out[..., 0]
+        fields = out.transpose(0, 2, 1).reshape(out.shape[0], cols.shape[1], *self.grid.shape)
+        return fields if tag[0] == "batch" else fields[:, 0]
 
-    def _member(self, family, t, m, derivative, cols, method):
-        """One family member at one time on columns: (comps, B, *grid.shape)."""
-        if family == "heat":
-            base = self._heat_cols(t, m, cols)
-        else:
-            base = self._poisson_cols(t, m, cols, method=method)
-        B = cols.shape[1]
-        fields = base.T.reshape(B, *self.grid.shape)
+    def _member(self, family, t, m, derivative, cols, method, adjoint=False):
+        """One member at one time, as SemigroupRequest names it, from columns
+        (ncells, B) to components (comps, ncells, B); with adjoint=True, cols
+        holds such components and the adjoint maps them back to columns.
+
+        "spatial" is t times the forward difference along each axis, "full"
+        appends the time component t d/dt (member) = 2m (member) - R, with R
+        as in _symbol.
+        """
+        n, h, shape = self.grid.n, self.grid.h, self.grid.shape
+
+        def apply(x, half=False):
+            return self._apply(family, t, m, x, method, half, adjoint)
+
+        B = cols.shape[-1]
+        if adjoint:
+            if derivative == "none":
+                return apply(cols[0])
+            # the adjoint of the forward difference is minus the backward one
+            x = sum((-t) * _bwd(cols[j].T.reshape(B, *shape), n, j, h).reshape(B, -1).T
+                    for j in range(n))
+            if derivative == "spatial":
+                return apply(x)
+            return apply(x + 2 * m * cols[n]) - apply(cols[n], half=True)
+
+        base = apply(cols)
         if derivative == "none":
-            return fields[None]
-        comps = list(self._spatial_stack(t, fields))
+            return base[None]
+        fields = base.T.reshape(B, *shape)
+        comps = [(t * _fwd(fields, n, j, h)).reshape(B, -1).T for j in range(n)]
         if derivative == "full":
-            if family == "heat":
-                tcol = 2 * m * base - 2 * self._heat_cols(t, m + 1, cols)
-            else:
-                tcol = 2 * m * base - self._half_order_cols(t, m, cols, method)
-            comps.append(tcol.T.reshape(B, *self.grid.shape))
+            comps.append(2 * m * base - apply(cols, half=True))
         return np.stack(comps)
 
     # --------------------------------------------------------- time ladder
@@ -491,23 +526,13 @@ class EllipticOperator:
             raise ValueError("ladder takes a single field, not a batch")
         m = int(order)
         if not self.has_eigenbasis or (family == "poisson" and method != "direct"):
-            return np.stack([self._member(family, t, m, derivative, cols, method)[:, 0]
-                             for t in times])
+            return np.stack([self._member(family, t, m, derivative, cols, method)[..., 0]
+                             for t in times]).reshape(times.size, -1, *self.grid.shape)
 
         t = times[:, None]
-        lam = self._eigs
-        if family == "heat":
-            tau = t * t
-            decay = np.exp(-tau * lam)
-            rows = [(tau * lam) ** m * decay]
-            if derivative == "full":
-                rows.append(2 * m * rows[0] - 2 * ((tau * lam) ** (m + 1) * decay))
-        else:
-            root = np.sqrt(lam)  # principal branch, Re >= 0
-            decay = np.exp(-t * root)
-            rows = [(t * t * lam) ** m * decay]
-            if derivative == "full":
-                rows.append(2 * m * rows[0] - (t * root) ** (2 * m + 1) * decay)
+        rows = [self._symbol(family, t, m)]
+        if derivative == "full":
+            rows.append(2 * m * rows[0] - self._symbol(family, t, m, half=True))
         phi = np.concatenate(rows)
         c = self._project(cols)[:, 0]
         vals = ((phi * c) @ self._V.T).reshape(len(rows), times.size, *self.grid.shape)
@@ -520,30 +545,6 @@ class EllipticOperator:
         if derivative == "full":
             comps.append(vals[1])
         return np.stack(comps, axis=1)
-
-    def _half_order_cols(self, t, K, cols, method="direct", adjoint=False):
-        # (t sqrt(L))^{2K+1} e^{-t sqrt(L)}
-        if self.has_eigenbasis and method == "direct":
-            root = np.sqrt(self._eigs)
-            phi = (t * root) ** (2 * K + 1) * np.exp(-t * root)
-            return self._diag_apply(phi, cols, adjoint)
-        if method == "direct":
-            S = self._sqrt_matrix()
-            E = self._expm("p", t, gen=S)
-            out = (E.conj().T @ cols) if adjoint else (E @ cols)
-            out = t * ((S.conj().T @ out) if adjoint else (S @ out))
-            for _ in range(K):
-                out = (t * t) * self.matvec(out, adjoint)
-            return out
-        # differentiating the subordination rule in t turns the half order
-        # into heat terms of order K+1: since t^2 L = (4u) s^2 L at
-        # s = t/(2 sqrt(u)), the node weight picks up a plain factor 2
-        u, w, norm = _genlaguerre_rule(48)
-        out = np.zeros_like(cols)
-        for ui, wi in zip(u, w):
-            s = t / (2 * math.sqrt(ui))
-            out += (2 * wi * (4 * ui) ** K) * self._heat_cols(s, K + 1, cols, adjoint)
-        return out / norm
 
 
 @lru_cache(maxsize=8)
@@ -581,7 +582,7 @@ def _clean_spectrum(eigs):
     return out
 
 
-def assemble(grid, coeff, cond_bound=1e8, perturb_size=1e-10, perturb_seed=20240917):
+def assemble(grid, coeff):
     """Build the dense operator and its functional-calculus cache."""
     if coeff.grid != grid:
         raise ValueError("coefficient grid does not match")
@@ -593,40 +594,25 @@ def assemble(grid, coeff, cond_bound=1e8, perturb_size=1e-10, perturb_seed=20240
     M = apply_divform(coeff, basis).reshape(grid.ncells, grid.ncells).T
     M = np.ascontiguousarray(M)
 
-    threads = int(os.environ.get("CONICAL_LAB_THREADS", "1") or "1")
     scale = float(np.abs(M).max())
     hermitian = bool(np.allclose(M, M.conj().T, atol=1e-12 * scale))
 
     if hermitian:
         eigs, V = np.linalg.eigh((M + M.conj().T) / 2)
         eigs = _clean_spectrum(eigs.astype(complex))
-        report = BuildReport("hermitian-eig", True, 1.0, False, threads)
+        report = BuildReport("hermitian-eig", True, 1.0)
         return EllipticOperator(grid, coeff, M, report, V=V, eigs=eigs)
 
     eigs, V = np.linalg.eig(M)
     eigs = _clean_spectrum(eigs)
     cond = _cond_of(V)
-    if cond <= cond_bound:
-        report = BuildReport("eig", False, cond, False, threads)
+    if cond <= _COND_BOUND:
+        report = BuildReport("eig", False, cond)
         return EllipticOperator(grid, coeff, M, report, V=V, eigs=eigs,
                                 lu=sla.lu_factor(V))
 
-    rng = np.random.default_rng(perturb_seed)
-    bump = perturb_size * (rng.standard_normal(grid.ncells)
-                           + 1j * rng.standard_normal(grid.ncells))
-    Mp = M + np.diag(bump)
-    eigs2, V2 = np.linalg.eig(Mp)
-    eigs2 = _clean_spectrum(eigs2)
-    cond2 = _cond_of(V2)
-    if cond2 <= cond_bound:
-        report = BuildReport("eig-perturbed", False, cond2, True, threads,
-                             notes=[f"diagonal perturbation {perturb_size:.0e}, "
-                                    f"seed {perturb_seed}, pre-perturbation cond {cond:.2e}"])
-        return EllipticOperator(grid, coeff, Mp, report, V=V2, eigs=eigs2,
-                                lu=sla.lu_factor(V2))
-
-    report = BuildReport("dense-fallback", False, min(cond, cond2), False, threads,
-                         notes=[f"cond {cond:.2e} raw, {cond2:.2e} after perturbation; "
+    report = BuildReport("dense-fallback", False, cond,
+                         notes=[f"eigenbasis cond {cond:.2e} above {_COND_BOUND:.0e}; "
                                 "no eigenbasis kept, semigroups run via expm/sqrtm"])
     return EllipticOperator(grid, coeff, M, report)
 
@@ -652,54 +638,6 @@ class SemigroupRequest:
             raise ValueError("order must be a nonnegative integer")
         if self.time <= 0:
             raise ValueError("time must be positive")
-
-
-def _request_apply(op, req, cols):
-    """Evaluate the requested family on columns; returns (ncomp, ncells, B)."""
-    B = cols.shape[1]
-    batch = cols.T.reshape(B, *op.grid.shape)
-    if req.derivative == "none":
-        if req.family == "heat":
-            out = op.heat(req.time, req.order, batch)
-        else:
-            out = op.poisson(req.time, req.order, batch)
-        return out.reshape(1, B, -1).transpose(0, 2, 1)
-    mode = "spatial" if req.derivative == "spatial" else "full"
-    if req.family == "heat":
-        out = op.heat_gradient(req.time, req.order, batch, mode)
-    else:
-        out = op.poisson_gradient(req.time, req.order, batch, mode)
-    ncomp = out.shape[0]
-    return out.reshape(ncomp, B, -1).transpose(0, 2, 1)
-
-
-def _request_apply_adjoint(op, req, comps):
-    """Adjoint of _request_apply on (ncomp, ncells, B); returns (ncells, B)."""
-    t, m = req.time, req.order
-    grid = op.grid
-    n, h = grid.n, grid.h
-
-    def fam_adj(cols, order):
-        if req.family == "heat":
-            return op._heat_cols(t, order, cols, adjoint=True)
-        return op._poisson_cols(t, order, cols, adjoint=True)
-
-    if req.derivative == "none":
-        return fam_adj(comps[0], m)
-    B = comps.shape[2]
-    acc = np.zeros((grid.ncells, B), dtype=complex)
-    for j in range(n):
-        vj = comps[j].T.reshape(B, *grid.shape)
-        # adjoint of forward difference is minus the backward difference
-        acc += (-t) * _bwd(vj, n, j, h).reshape(B, -1).T
-    acc = fam_adj(acc, m)
-    if req.derivative == "full":
-        w = comps[n]
-        if req.family == "heat":
-            acc += 2 * m * fam_adj(w, m) - 2 * fam_adj(w, m + 1)
-        else:
-            acc += 2 * m * fam_adj(w, m) - op._half_order_cols(t, m, w, adjoint=True)
-    return acc
 
 
 def _mixed_norm(comps, q, h_n):
@@ -763,12 +701,13 @@ def restricted_opnorm(apply_fn, grid, E, F, p=2.0, q=2.0, adjoint_fn=None,
 
 def offdiagonal_opnorm(op, request, E, F, p=2.0, q=2.0, samples=64, iters=40, seed=0):
     """Restricted norm of one semigroup family member between cell sets."""
+    member = (request.family, request.time, int(request.order), request.derivative)
 
     def fwd(cols):
-        return _request_apply(op, request, cols)
+        return op._member(*member, cols, "direct")
 
     def adj(comps):
-        return _request_apply_adjoint(op, request, comps)
+        return op._member(*member, comps, "direct", adjoint=True)
 
     return restricted_opnorm(fwd, op.grid, E, F, p=p, q=q, adjoint_fn=adj,
                              samples=samples, iters=iters, seed=seed)
@@ -777,34 +716,16 @@ def offdiagonal_opnorm(op, request, E, F, p=2.0, q=2.0, samples=64, iters=40, se
 # ------------------------------------------------------- boundedness scans
 
 
-def _dense_family(op, family, t):
-    """Dense matrix of the family member at time t (m = K = 0)."""
-    if op.has_eigenbasis:
-        if family == "heat":
-            phi = np.exp(-t * t * op._eigs)
-        else:
-            phi = np.exp(-t * np.sqrt(op._eigs))
-        W = op._V * phi[None, :]
-        if op.report.hermitian:
-            # W V^H as conj(conj(W) V^T), in place, with V^T a view
-            P = np.conj(W, out=W) @ op._V.T
-            return np.conj(P, out=P)
-        return W @ op._cached("inv", lambda: sla.lu_solve(
-            op._lu, np.eye(op.ncells, dtype=complex)))
-    if family == "heat":
-        return op._expm("h", t * t)
-    return op._expm("p", t, gen=op._sqrt_matrix())
+def _dense_family(op, family, t, derivative="none"):
+    """Dense matrix of the family member at time t (m = K = 0), or of its
+    scaled spatial gradient with the n components stacked as row blocks."""
+    nc = op.ncells
+    out = op._member(family, t, 0, derivative, np.eye(nc, dtype=complex), "direct")
+    return out.reshape(-1, nc)
 
 
 def _dense_gradient(op, family, t):
-    T = _dense_family(op, family, t)
-    grid = op.grid
-    rows = T.reshape(*grid.shape, grid.ncells)
-    blocks = []
-    for j in range(grid.n):
-        # passing ndim as the axis count makes _fwd hit leading axis j
-        blocks.append(t * _fwd(rows, rows.ndim, j, grid.h).reshape(grid.ncells, grid.ncells))
-    return np.concatenate(blocks, axis=0)
+    return _dense_family(op, family, t, "spatial")
 
 
 def _matrix_pnorm(B, p, ncomp=1, starts=4, iters=30, seed=1):

@@ -281,9 +281,12 @@ class ResultTable:
 def _thread_count():
     raw = os.environ.get("CONICAL_LAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        raise ConfigError(f"CONICAL_LAB_THREADS must be an integer, got {raw!r}")
+        count = 0
+    if count < 1:
+        raise ConfigError(f"CONICAL_LAB_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def _spawn_rngs(seed, count):
@@ -558,8 +561,8 @@ def run_cp_vs_maximal(cfg):
         table.add("cp-maximal", {**params, "stat": "max_ratio", "N": N},
                   worst_fine, worst_coarse, "derived", cfg.drift, verdict)
 
-    # constants are annihilated up to the conditioning perturbation, so the
-    # box side sits at rounding-noise level
+    # L1 = 0 holds up to rounding, so the box side of a constant input sits
+    # at rounding-noise level
     grid = Grid(cfg.n if cfg.n is not None else 1, N)
     op = cfg.build_operator(grid)
     tgrid = TimeGrid.spanning(grid)
@@ -812,6 +815,7 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        _thread_count()
         text = ""
         if args.config is not None:
             try:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from conical_lab import vericli
+from conical_lab.elliptic import CoefficientField, assemble
+from conical_lab.grid import Grid
 from conical_lab.vericli import ConfigError, ExperimentConfig, ResultTable
 
 
@@ -340,6 +342,21 @@ class TestDeterminism:
         monkeypatch.setenv("CONICAL_LAB_THREADS", "lots")
         with pytest.raises(ConfigError, match="CONICAL_LAB_THREADS"):
             vericli._thread_count()
+
+    @pytest.mark.parametrize("raw", ["lots", "0", "-3"])
+    def test_main_rejects_bad_thread_count(self, raw, monkeypatch, tmp_path, capsys):
+        # offdiag runs no sample pool, so only the check at entry can catch it
+        monkeypatch.setenv("CONICAL_LAB_THREADS", raw)
+        code = vericli.main(["offdiag", "--set", "seed=1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "CONICAL_LAB_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "offdiag.csv").exists()
+
+    def test_assemble_ignores_thread_count(self, monkeypatch):
+        monkeypatch.setenv("CONICAL_LAB_THREADS", "lots")
+        grid = Grid(1, 8)
+        op = assemble(grid, CoefficientField.preset(grid, "laplace"))
+        assert op.report.tier == "hermitian-eig"
 
     def test_seed_changes_results(self):
         a = vericli.run_carleson_suite(
