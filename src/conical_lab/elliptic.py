@@ -424,19 +424,13 @@ class EllipticOperator:
 
     def heat(self, t, m, f, adjoint=False):
         """(t^2 L)^m e^{-t^2 L} f."""
-        if t <= 0:
-            raise ValueError("t must be positive")
-        if m < 0 or int(m) != m:
-            raise ValueError("m must be a nonnegative integer")
+        SemigroupRequest("heat", t, m)
         cols, tag = self._as_columns(f)
         return self._wrap(self._apply("heat", t, int(m), cols, adjoint=adjoint), tag)
 
     def poisson(self, t, K, f, method="direct", adjoint=False):
         """(t sqrt(L))^{2K} e^{-t sqrt(L)} f."""
-        if t <= 0:
-            raise ValueError("t must be positive")
-        if K < 0 or int(K) != K:
-            raise ValueError("K must be a nonnegative integer")
+        SemigroupRequest("poisson", t, K)
         cols, tag = self._as_columns(f)
         return self._wrap(self._apply("poisson", t, int(K), cols, method, adjoint=adjoint), tag)
 
@@ -458,6 +452,7 @@ class EllipticOperator:
     def _gradient(self, family, t, m, f, mode, method):
         if mode not in ("spatial", "full"):
             raise ValueError("mode must be spatial or full")
+        SemigroupRequest(family, t, m, mode)
         cols, tag = self._as_columns(f)
         out = self._member(family, t, int(m), mode, cols, method)
         if tag[0] == "flat":

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.ndimage import minimum_filter
 
-from .grid import GridFunction, ball_cells, ball_max, ball_sum
+from .grid import GridFunction, ball_kernel, ball_max, ball_sum
 from .weights import hl_maximal
 
 
@@ -81,57 +81,26 @@ def cone_functional(F, params):
 # --------------------------------------------------------- Carleson boxes
 
 
-def _box_values(F, q, family):
-    """Per radius r: the box value field V_r(c) (already to the q-th power)
-    over centers c, plus the level count; shared by the dense routes."""
-    grid, tg = F.grid, F.tgrid
-    powed = np.abs(F.values) ** q
-    for r in sorted({float(r) for r in np.asarray(family.radii)}):
-        levels = [k for k, t in enumerate(tg.levels) if t <= r]
-        if not levels:
-            yield r, None
-            continue
-        total = np.zeros(grid.shape)
-        for k in levels:
-            total += ball_sum(powed[k], r)
-        _, cnt = _kernel_count(grid, r)
-        yield r, (tg.dlog / cnt) * total
-
-
-def _kernel_count(grid, radius):
-    from .grid import ball_kernel
-
-    ker, cnt = ball_kernel(grid.n, grid.N, radius)
-    return ker, cnt
-
-
 def carleson_functional(F, q, family):
     """sup over family balls containing x of the box average
     ((1/|B|) sum_{t_k <= r_B} sum_{y in B} |F|^q h^n dlog)^{1/q}."""
     if q <= 0:
         raise ValueError("q must be positive")
-    grid = F.grid
+    grid, tg = F.grid, F.tgrid
     if family.grid != grid:
         raise ValueError("family grid does not match the field")
-    if family.dense_radii:
-        out = np.zeros(grid.shape)
-        for r, vals in _box_values(F, q, family):
-            if vals is None:
-                continue
-            np.maximum(out, ball_max(vals, r), out=out)
-        return GridFunction(grid, out ** (1.0 / q))
-    out = np.zeros(grid.ncells)
     powed = np.abs(F.values) ** q
-    flat = powed.reshape(len(F.tgrid), -1)
-    tg = F.tgrid
-    for c, r in family.iter_balls():
-        cells = ball_cells(grid, c, r)
+    out = np.zeros(grid.shape)
+    for r in family.radii:
         levels = [k for k, t in enumerate(tg.levels) if t <= r]
         if not levels:
             continue
-        val = tg.dlog * flat[np.ix_(levels, cells)].sum() / cells.size
-        out[cells] = np.maximum(out[cells], val)
-    return GridFunction(grid, (out ** (1.0 / q)).reshape(grid.shape))
+        total = np.zeros(grid.shape)
+        for k in levels:
+            total += ball_sum(powed[k], r)
+        _, cnt = ball_kernel(grid.n, grid.N, r)
+        np.maximum(out, ball_max((tg.dlog / cnt) * total, r), out=out)
+    return GridFunction(grid, out ** (1.0 / q))
 
 
 def carleson_p0(F, q, p0, family):
@@ -149,28 +118,15 @@ def carleson_p0(F, q, p0, family):
              for k, t in enumerate(tg.levels)]
     prefix = np.cumsum(np.stack(terms), axis=0)
     times = np.asarray(tg.levels)
-
-    if family.dense_radii:
-        out = np.zeros(grid.shape)
-        for r in sorted({float(r) for r in np.asarray(family.radii)}):
-            j = int(np.searchsorted(times, r, side="right"))
-            if j == 0:
-                continue
-            _, cnt = _kernel_count(grid, r)
-            avg = ball_sum(prefix[j - 1] ** (p0 / q), r) / cnt
-            np.maximum(out, ball_max(avg, r), out=out)
-        return GridFunction(grid, out ** (1.0 / p0))
-
-    out = np.zeros(grid.ncells)
-    flat_prefix = prefix.reshape(len(tg), -1)
-    for c, r in family.iter_balls():
-        cells = ball_cells(grid, c, r)
+    out = np.zeros(grid.shape)
+    for r in family.radii:
         j = int(np.searchsorted(times, r, side="right"))
         if j == 0:
             continue
-        val = (flat_prefix[j - 1][cells] ** (p0 / q)).mean()
-        out[cells] = np.maximum(out[cells], val)
-    return GridFunction(grid, (out ** (1.0 / p0)).reshape(grid.shape))
+        _, cnt = ball_kernel(grid.n, grid.N, r)
+        avg = ball_sum(prefix[j - 1] ** (p0 / q), r) / cnt
+        np.maximum(out, ball_max(avg, r), out=out)
+    return GridFunction(grid, out ** (1.0 / p0))
 
 
 # ------------------------------------------------ mesh-free indicator cone

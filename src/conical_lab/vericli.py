@@ -30,7 +30,6 @@ from .grid import (
     TimeGrid,
     UpperHalfField,
     GridFunction,
-    ball_sum,
     lp_norm_weighted,
     torus_distance,
 )
@@ -151,7 +150,14 @@ class ExperimentConfig:
         try:
             return Grid(n, N)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"n = {n}, N = {N}: {exc}") from None
+
+    def build_grid_pair(self, default_n):
+        """The run's grid (N defaults to 32) and its N/2 partner, coarse first."""
+        grid = self.build_grid(default_n)
+        if grid.N < 16:
+            raise ConfigError(f"N = {grid.N}: this run also uses N/2, so N must be >= 16")
+        return grid.coarsen(), grid
 
     def build_operator(self, grid):
         if self.coeff_file is not None:
@@ -433,8 +439,10 @@ def run_carleson_suite(cfg):
     count = cfg.count(50)
     table = ResultTable()
 
-    def bracket(N, seed):
-        grid = Grid(cfg.n if cfg.n is not None else 2, N)
+    coarse_grid, grid = cfg.build_grid_pair(default_n=2)
+    N = grid.N
+
+    def bracket(grid, seed):
         tgrid = TimeGrid.spanning(grid)
         fam = BallFamily.dense_dyadic(grid)
 
@@ -447,11 +455,8 @@ def run_carleson_suite(cfg):
         out = _map_samples(one, _spawn_rngs(seed, count))
         return max(x for x, _ in out), max(y for _, y in out)
 
-    N = cfg.N if cfg.N is not None else 32
-    if N < 8:
-        raise ConfigError("carleson bracket needs N >= 8 so N/2 is a grid")
-    hi_coarse, lo_coarse = bracket(N // 2, cfg.seed + 1)
-    hi, lo = bracket(N, cfg.seed)
+    hi_coarse, lo_coarse = bracket(coarse_grid, cfg.seed + 1)
+    hi, lo = bracket(grid, cfg.seed)
     for name, fine, coarse in (("ratio_hi", hi, hi_coarse),
                                ("ratio_lo", lo, lo_coarse)):
         table.info("carleson", {"stat": name, "N": N // 2}, coarse)
@@ -460,7 +465,6 @@ def run_carleson_suite(cfg):
                   "derived", cfg.drift, verdict)
 
     # the zero field sends every functional to zero
-    grid = Grid(cfg.n if cfg.n is not None else 2, N)
     tgrid = TimeGrid.spanning(grid)
     fam = BallFamily.dense_dyadic(grid)
     zero = UpperHalfField(grid, tgrid, np.zeros((len(tgrid.levels), *grid.shape)))
@@ -507,9 +511,8 @@ def run_cp_vs_maximal(cfg):
     function, pointwise over cells."""
     p0 = cfg.p0 if cfg.p0 is not None else 1.5
     count = cfg.count(20)
-    N = cfg.N if cfg.N is not None else 32
-    if N < 8:
-        raise ConfigError("refinement column needs N >= 8")
+    coarse_grid, grid = cfg.build_grid_pair(default_n=1)
+    N = grid.N
     # the range p_-(L) < p0 <= 2 is certain for the identity preset; for
     # other coefficients the lower endpoint is only bracketed, so anything
     # below 2 is reported rather than asserted
@@ -519,8 +522,7 @@ def run_cp_vs_maximal(cfg):
         in_range = p0 == 2.0
     table = ResultTable()
 
-    def max_ratios(N_run, seed):
-        grid = Grid(cfg.n if cfg.n is not None else 1, N_run)
+    def max_ratios(grid, seed):
         op = cfg.build_operator(grid)
         tgrid = TimeGrid.spanning(grid)
         fam = BallFamily.dense_dyadic(grid)
@@ -542,8 +544,8 @@ def run_cp_vs_maximal(cfg):
                 out[name].append(v)
         return out
 
-    coarse = max_ratios(N // 2, cfg.seed + 1)
-    fine = max_ratios(N, cfg.seed)
+    coarse = max_ratios(coarse_grid, cfg.seed + 1)
+    fine = max_ratios(grid, cfg.seed)
     for name in _CP_INTEGRANDS:
         params = {"integrand": name, "p0": p0, "preset": cfg.preset}
         if in_range:
@@ -563,7 +565,6 @@ def run_cp_vs_maximal(cfg):
 
     # L1 = 0 holds up to rounding, so the box side of a constant input sits
     # at rounding-noise level
-    grid = Grid(cfg.n if cfg.n is not None else 1, N)
     op = cfg.build_operator(grid)
     tgrid = TimeGrid.spanning(grid)
     fam = BallFamily.dense_dyadic(grid)
@@ -665,14 +666,12 @@ def run_boundedness(cfg):
             raise ConfigError(f"unknown square function family {family!r}")
     p_list = cfg.p_list
     count = cfg.count(20)
-    N = cfg.N if cfg.N is not None else 32
-    if N < 8:
-        raise ConfigError("refinement column needs N >= 8")
+    coarse_grid, grid = cfg.build_grid_pair(default_n=1)
+    N, n = grid.N, grid.n
     identity = cfg.coeff_file is None and cfg.preset == "laplace"
     table = ResultTable()
 
-    def sups(N_run, seed):
-        grid = Grid(cfg.n if cfg.n is not None else 1, N_run)
+    def sups(grid, seed):
         op = cfg.build_operator(grid)
         weight = cfg.build_weight(grid)
         out = {}
@@ -693,9 +692,8 @@ def run_boundedness(cfg):
             out[family] = {p: max(row[p] for row in rows) for p in p_list}
         return out
 
-    coarse = sups(N // 2, cfg.seed + 1)
-    fine = sups(N, cfg.seed)
-    n = cfg.n if cfg.n is not None else 1
+    coarse = sups(coarse_grid, cfg.seed + 1)
+    fine = sups(grid, cfg.seed)
     for family in families:
         for p in p_list:
             # pass/fail needs a certain weight class: identity coefficients

@@ -1,6 +1,8 @@
-"""Muckenhoupt machinery over ball families on the discrete torus.
+"""Muckenhoupt machinery over the dense ball family on the discrete torus.
 
-Constants are computed as maxima over a finite family of balls:
+Constants are computed as maxima over the balls of a BallFamily (every cell
+center with every listed radius), one radius at a time: FFT ball sums give
+the averages at every center at once, and ball maxima give the extremes.
 
     A_p:  (avg_B w) * (avg_B w^{1-p'})^{p-1}        p' = p/(p-1), p > 1
     A_1:  (avg_B w) / (min_B w)
@@ -21,14 +23,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (
     Grid,
     GridFunction,
-    ball_cells,
+    ball_kernel,
     ball_max,
     ball_sum,
     torus_distance,
@@ -89,33 +91,30 @@ class Weight:
         raise ValueError("tabulated weights only coarsen by one halving")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BallFamily:
-    """Finite collection of torus balls (center, radius).
+    """The dense ball family: every cell center paired with every radius.
 
-    Radii must lie in [2h, 1/2] for the attached grid. The dense dyadic
-    family (every cell center, dyadic radii) carries a flag that unlocks
-    convolution fast paths; arbitrary families fall back to per-ball loops.
+    radii is stored as the sorted tuple of distinct radii, each in [2h, 1/2]
+    for the attached grid. The functionals over the family run one FFT ball
+    sum and at most one ball maximum per radius; no ball is visited on its
+    own. iter_balls lists the balls one by one for brute-force oracles.
     """
 
     grid: Grid
-    centers: np.ndarray
-    radii: np.ndarray
-    dense_radii: tuple = field(default=())
+    radii: tuple
 
     def __post_init__(self):
-        self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        self.radii = np.asarray(self.radii, dtype=float).ravel()
-        if self.centers.shape != (self.radii.size, self.grid.n):
-            raise ValueError("centers and radii sizes disagree")
-        if self.radii.size == 0:
+        radii = tuple(sorted({float(r) for r in self.radii}))
+        if not radii:
             raise ValueError("ball family is empty")
         h = self.grid.h
-        if np.any(self.radii < 2 * h - 1e-15) or np.any(self.radii > 0.5 + 1e-15):
+        if radii[0] < 2 * h - 1e-15 or radii[-1] > 0.5 + 1e-15:
             raise ValueError("radii must lie in [2h, 1/2]")
+        object.__setattr__(self, "radii", radii)
 
     def __len__(self):
-        return self.radii.size
+        return self.grid.ncells * len(self.radii)
 
     @classmethod
     def dense_dyadic(cls, grid, r_min=None, r_max=0.5):
@@ -128,95 +127,52 @@ class BallFamily:
             r *= 2
         if not radii:
             raise ValueError("no dyadic radii in range")
-        centers = grid.cell_centers().reshape(-1, grid.n)
-        cc = np.repeat(centers, len(radii), axis=0)
-        rr = np.tile(np.asarray(radii), len(centers))
-        fam = cls(grid, cc, rr)
-        fam.dense_radii = tuple(radii)
-        return fam
+        return cls(grid, radii)
 
     def iter_balls(self):
-        for c, r in zip(self.centers, self.radii):
-            yield c, r
-
-
-def _ball_averages(values, family):
-    """Yields (per-center average array, radius) on the dense fast path."""
-    for r in family.dense_radii:
-        s = ball_sum(values, r)
-        _, cnt = _kernel_count(family.grid, r)
-        yield s / cnt, r
-
-
-def _kernel_count(grid, radius):
-    from .grid import ball_kernel
-
-    return ball_kernel(grid.n, grid.N, radius)
+        """(center, radius) pairs, center-major in row-major cell order."""
+        for c in self.grid.cell_centers().reshape(-1, self.grid.n):
+            for r in self.radii:
+                yield c, r
 
 
 def estimate_Ap_constant(w, p, family):
     """Largest A_p quotient over the family. p >= 1."""
     if p < 1:
         raise ValueError(f"A_p needs p >= 1, got {p}")
-    vals = w.values
+    vals, grid = w.values, family.grid
+    best = 0.0
     with np.errstate(over="ignore", divide="ignore"):
-        if family.dense_radii:
-            best = 0.0
-            for r in family.dense_radii:
-                _, cnt = _kernel_count(family.grid, r)
-                avg_w = ball_sum(vals, r) / cnt
-                if p == 1:
-                    min_w = -ball_max(-vals, r)
-                    best = max(best, float(np.max(avg_w / min_w)))
-                else:
-                    dual = vals ** (1.0 - p / (p - 1.0))
-                    avg_d = ball_sum(dual, r) / cnt
-                    best = max(best, float(np.max(avg_w * avg_d ** (p - 1.0))))
-            return best
-        best = 0.0
-        flat = vals.ravel()
-        for c, r in family.iter_balls():
-            idx = ball_cells(family.grid, c, r)
-            bw = flat[idx]
+        for r in family.radii:
+            _, cnt = ball_kernel(grid.n, grid.N, r)
+            avg_w = ball_sum(vals, r) / cnt
             if p == 1:
-                q = bw.mean() / bw.min()
+                q = avg_w / -ball_max(-vals, r)
             else:
-                q = bw.mean() * np.mean(bw ** (1.0 - p / (p - 1.0))) ** (p - 1.0)
-            best = max(best, float(q))
-        return best
+                dual = vals ** (1.0 - p / (p - 1.0))
+                q = avg_w * (ball_sum(dual, r) / cnt) ** (p - 1.0)
+            best = max(best, float(np.max(q)))
+    return best
 
 
 def estimate_RHs_constant(w, s, family):
     """Largest reverse Holder quotient over the family. s >= 1, inf allowed."""
     if s < 1:
         raise ValueError(f"RH_s needs s >= 1, got {s}")
-    vals = w.values
+    vals, grid = w.values, family.grid
+    best = 0.0
     with np.errstate(over="ignore", divide="ignore"):
-        if family.dense_radii:
-            best = 0.0
-            for r in family.dense_radii:
-                _, cnt = _kernel_count(family.grid, r)
-                avg_w = ball_sum(vals, r) / cnt
-                if s == 1:
-                    q = np.ones_like(avg_w)
-                elif math.isinf(s):
-                    q = ball_max(vals, r) / avg_w
-                else:
-                    q = (ball_sum(vals**s, r) / cnt) ** (1.0 / s) / avg_w
-                best = max(best, float(np.max(q)))
-            return best
-        best = 0.0
-        flat = vals.ravel()
-        for c, r in family.iter_balls():
-            bw = flat[ball_cells(family.grid, c, r)]
+        for r in family.radii:
+            _, cnt = ball_kernel(grid.n, grid.N, r)
+            avg_w = ball_sum(vals, r) / cnt
             if s == 1:
-                q = 1.0
+                q = np.ones_like(avg_w)
             elif math.isinf(s):
-                q = bw.max() / bw.mean()
+                q = ball_max(vals, r) / avg_w
             else:
-                q = np.mean(bw**s) ** (1.0 / s) / bw.mean()
-            best = max(best, float(q))
-        return best
+                q = (ball_sum(vals**s, r) / cnt) ** (1.0 / s) / avg_w
+            best = max(best, float(np.max(q)))
+    return best
 
 
 def power_weight_in_Ar(theta, n, r):
@@ -293,10 +249,7 @@ def estimate_critical_exponents(w, family=None, tol=0.25, cap=16.0, blowup=1.5):
     if grid.N < 16:
         raise ValueError("need N >= 16 so that N/2 still admits dyadic balls")
     w_fine, w_coarse = w, w.at_resolution(grid.N // 2)
-    if family is not None and family.dense_radii:
-        r_lo = family.dense_radii[0]
-    else:
-        r_lo = None
+    r_lo = family.radii[0] if family is not None else None
     fam_fine = BallFamily.dense_dyadic(grid, r_min=r_lo)
     fam_coarse = BallFamily.dense_dyadic(w_coarse.grid)
 
@@ -366,25 +319,12 @@ def hl_maximal(f, p0, family, centered=False):
         raise ValueError("p0 must be positive")
     vals = np.abs(f.values if isinstance(f, GridFunction) else np.asarray(f)) ** p0
     grid = family.grid
-    if family.dense_radii:
-        out = np.zeros(grid.shape)
-        for avg, r in _ball_averages(vals, family):
-            layer = avg if centered else ball_max(avg, r)
-            np.maximum(out, layer, out=out)
-        return out ** (1.0 / p0)
-    # cells no ball covers keep the value 0
-    out = np.zeros(grid.ncells)
-    flat = vals.ravel()
-    centers_flat = grid.cell_centers().reshape(-1, grid.n)
-    for c, r in family.iter_balls():
-        idx = ball_cells(grid, c, r)
-        avg = flat[idx].mean()
-        if centered:
-            own = np.flatnonzero(np.all(np.isclose(centers_flat, c), axis=1))
-            out[own] = np.maximum(out[own], avg)
-        else:
-            out[idx] = np.maximum(out[idx], avg)
-    return (out ** (1.0 / p0)).reshape(grid.shape)
+    out = np.zeros(grid.shape)
+    for r in family.radii:
+        _, cnt = ball_kernel(grid.n, grid.N, r)
+        avg = ball_sum(vals, r) / cnt
+        np.maximum(out, avg if centered else ball_max(avg, r), out=out)
+    return out ** (1.0 / p0)
 
 
 @dataclass

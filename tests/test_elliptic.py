@@ -539,6 +539,16 @@ def test_gradient_modes_and_validation(lap1):
         lap1.poisson_gradient(0.2, 0, f, mode="radial")
 
 
+@pytest.mark.parametrize("member", ["heat", "poisson", "heat_gradient", "poisson_gradient"])
+def test_members_reject_bad_time_and_order(lap1, member):
+    f = np.ones(lap1.grid.shape)
+    evaluate = getattr(lap1, member)
+    with pytest.raises(ValueError, match="time must be positive"):
+        evaluate(-0.5, 0, f)
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        evaluate(0.5, 1.5, f)
+
+
 # -------------------------------------------------------------- time ladder
 
 

@@ -95,11 +95,6 @@ def brute_carleson_p0(F, q, p0, family):
     return (out ** (1.0 / p0)).reshape(grid.shape)
 
 
-def generic_copy(family):
-    # same balls, but without the dense-radii flag: forces the per-ball path
-    return BallFamily(family.grid, family.centers, family.radii)
-
-
 @pytest.fixture(scope="module")
 def lab1():
     grid = Grid(1, 16)
@@ -283,13 +278,6 @@ class TestCarleson:
         got = tent.carleson_functional(F, 2.0, fam).values.real
         np.testing.assert_allclose(got, brute_carleson(F, 2.0, fam), rtol=1e-12)
 
-    def test_generic_path_equals_dense(self, lab1):
-        grid, tg, F = lab1
-        fam = BallFamily.dense_dyadic(grid)
-        dense = tent.carleson_functional(F, 2.0, fam).values.real
-        loose = tent.carleson_functional(F, 2.0, generic_copy(fam)).values.real
-        np.testing.assert_allclose(loose, dense, rtol=1e-12)
-
     def test_constant_field_closed_form(self, lab2):
         grid, tg, _ = lab2
         F = UpperHalfField(grid, tg, np.ones((len(tg.levels), *grid.shape)))
@@ -322,13 +310,6 @@ class TestCarleson:
         fam = BallFamily.dense_dyadic(grid)
         got = tent.carleson_p0(F, 2.0, 1.5, fam).values.real
         np.testing.assert_allclose(got, brute_carleson_p0(F, 2.0, 1.5, fam), rtol=1e-12)
-
-    def test_p0_generic_path_equals_dense(self, lab1):
-        grid, tg, F = lab1
-        fam = BallFamily.dense_dyadic(grid)
-        dense = tent.carleson_p0(F, 2.0, 1.5, fam).values.real
-        loose = tent.carleson_p0(F, 2.0, 1.5, generic_copy(fam)).values.real
-        np.testing.assert_allclose(loose, dense, rtol=1e-12)
 
     def test_p0_power_identity(self, lab1):
         # C_{q,p0} F = (C_{2, 2 p0/q} |F|^{q/2})^{2/q}

@@ -402,6 +402,21 @@ class TestMain:
         assert vericli.main(
             ["sharpness", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("carleson", "N", 8),
+        ("carleson", "n", 4),
+        ("boundedness", "N", 8),
+        ("boundedness", "n", 5),
+        ("cp-maximal", "N", 12),
+    ])
+    def test_bad_grid_size_is_config_error(self, experiment, key, value,
+                                           tmp_path, capsys):
+        code = vericli.main([experiment, "--set", "seed=1",
+                             "--set", f"{key}={value}", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{key} = {value}" in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}.csv").exists()
+
     def test_experiment_mismatch(self, tmp_path):
         path = tmp_path / "m.cfg"
         path.write_text("seed = 1\nexperiment = angles\n")
