@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d
 
 MAGIC = b"CLGF"
 HEADER_BYTES = 16
@@ -276,29 +277,41 @@ def ball_sum(field, radius):
     return out
 
 
-@lru_cache(maxsize=None)
-def ball_footprint(n, N, radius):
-    """Boolean max-filter footprint for the open ball, one entry per class.
-
-    Offsets run over -N/2 .. N/2-1 per axis so each displacement class
-    appears exactly once; center of the window is the zero offset.
-    """
-    d = _displacement_distance(n, N)
-    ker = d < radius
-    # reorder classes so index N/2 + j holds displacement j
-    return np.fft.fftshift(ker)
-
-
 def ball_max(field, radius):
-    """Max of a real cell field over the ball around every cell center."""
-    from scipy.ndimage import maximum_filter
+    """Max of a real cell field over the ball around every cell center.
 
-    n = field.ndim
-    N = field.shape[0]
-    fp = ball_footprint(n, N, radius)
-    # fftshift puts the zero offset at index N/2, which is where the filter
-    # centers an even window, so the default origin is already correct
-    return maximum_filter(field, footprint=fp, mode="wrap")
+    Exact: the open ball is a union of chords, read from the same mask as
+    ball_kernel, and the max is taken chord by chord with running maxima
+    (van Herk / Gil-Werman): O((rN)^(n-1)) work per cell where a disc
+    footprint costs O((rN)^n).
+    """
+    if not 0.0 < radius <= 0.5:
+        raise ValueError(f"radius must be in (0, 1/2], got {radius}")
+    mask = _displacement_distance(field.ndim, field.shape[0]) < radius
+    return _chord_max(field, mask)
+
+
+def _chord_max(field, mask):
+    # max over the displacement classes in mask, which acts on the trailing
+    # mask.ndim axes of field; mask is symmetric under j -> -j
+    axis = field.ndim - mask.ndim
+    if mask.ndim == 1:
+        # d2 adds the last axis term last, so along it the distance grows
+        # with |j|: the mask is the interval |j| <= w, 2w + 1 classes, or
+        # the whole circle, whose even window still covers every class once
+        return maximum_filter1d(field, int(mask.sum()), axis=axis, mode="wrap")
+    out = None
+    chords = {}
+    for a, sub in enumerate(mask):
+        if not sub.any():
+            continue
+        key = sub.tobytes()
+        if key not in chords:
+            chords[key] = _chord_max(field, sub)
+        # out[x] takes the chord max at x + a along the leading mask axis
+        shifted = np.roll(chords[key], -a, axis=axis)
+        out = shifted if out is None else np.maximum(out, shifted, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conical_lab.grid import (
     Grid,
@@ -170,6 +171,36 @@ def test_ball_sum_and_max_against_bruteforce():
                 want_max[i] = field.ravel()[idx].max()
             assert np.allclose(ball_sum(field, radius).ravel(), want_sum, atol=1e-10)
             assert np.array_equal(ball_max(field, radius).ravel(), want_max)
+
+
+@st.composite
+def ball_max_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    g = Grid(n, draw(st.sampled_from([8, 16] if n == 3 else [8, 16, 32])))
+    if draw(st.booleans()):
+        # a radius equal to a cell distance leaves those cells out of the
+        # open ball, the boundary case a recomputed radius would get wrong
+        j = np.array(draw(st.tuples(*[st.integers(0, g.N // 2)] * n)))
+        radius = float(np.sqrt(np.sum((j * g.h) ** 2)))
+        assume(0.0 < radius <= 0.5)
+    else:
+        radius = draw(st.floats(0.0, 0.5, exclude_min=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # small integers give ties between cells, normals give none
+    if draw(st.booleans()):
+        field = rng.integers(-3, 4, g.shape).astype(float)
+    else:
+        field = rng.standard_normal(g.shape)
+    return g, radius, field
+
+
+@settings(max_examples=25, deadline=None)
+@given(ball_max_cases())
+def test_ball_max_equals_max_over_ball_cells(case):
+    g, radius, field = case
+    want = [field.ravel()[ball_cells(g, c, radius)].max()
+            for c in g.cell_centers().reshape(-1, g.n)]
+    assert np.array_equal(ball_max(field, radius).ravel(), want)
 
 
 def test_serialization_roundtrip_and_header(tmp_path):
