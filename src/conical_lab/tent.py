@@ -89,16 +89,16 @@ def carleson_functional(F, q, family):
     grid, tg = F.grid, F.tgrid
     if family.grid != grid:
         raise ValueError("family grid does not match the field")
-    powed = np.abs(F.values) ** q
+    # the levels with t_k <= r are a prefix of the ladder
+    prefix = np.cumsum(np.abs(F.values) ** q, axis=0)
+    times = np.asarray(tg.levels)
     out = np.zeros(grid.shape)
     for r in family.radii:
-        levels = [k for k, t in enumerate(tg.levels) if t <= r]
-        if not levels:
+        j = int(np.searchsorted(times, r, side="right"))
+        if j == 0:
             continue
-        total = np.zeros(grid.shape)
-        for k in levels:
-            total += ball_sum(powed[k], r)
         _, cnt = ball_kernel(grid.n, grid.N, r)
+        total = ball_sum(prefix[j - 1], r)
         np.maximum(out, ball_max((tg.dlog / cnt) * total, r), out=out)
     return GridFunction(grid, out ** (1.0 / q))
 
