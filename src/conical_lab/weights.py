@@ -140,6 +140,8 @@ def estimate_Ap_constant(w, p, family):
     """Largest A_p quotient over the family. p >= 1."""
     if p < 1:
         raise ValueError(f"A_p needs p >= 1, got {p}")
+    if w.grid != family.grid:
+        raise ValueError("family grid does not match the weight")
     vals, grid = w.values, family.grid
     best = 0.0
     with np.errstate(over="ignore", divide="ignore"):
@@ -159,6 +161,8 @@ def estimate_RHs_constant(w, s, family):
     """Largest reverse Holder quotient over the family. s >= 1, inf allowed."""
     if s < 1:
         raise ValueError(f"RH_s needs s >= 1, got {s}")
+    if w.grid != family.grid:
+        raise ValueError("family grid does not match the weight")
     vals, grid = w.values, family.grid
     best = 0.0
     with np.errstate(over="ignore", divide="ignore"):
@@ -319,6 +323,8 @@ def hl_maximal(f, p0, family, centered=False):
         raise ValueError("p0 must be positive")
     vals = np.abs(f.values if isinstance(f, GridFunction) else np.asarray(f)) ** p0
     grid = family.grid
+    if vals.shape != grid.shape:
+        raise ValueError("family grid does not match the field")
     out = np.zeros(grid.shape)
     for r in family.radii:
         _, cnt = ball_kernel(grid.n, grid.N, r)

@@ -156,6 +156,20 @@ def test_estimator_rejections(g16, fam16):
         estimate_RHs_constant(w, 0.9, fam16)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda w, fam: estimate_Ap_constant(w, 2.0, fam),
+    lambda w, fam: estimate_RHs_constant(w, 2.0, fam),
+    lambda w, fam: hl_maximal(w.values, 1.0, fam),
+    lambda w, fam: hl_maximal(GridFunction(w.grid, w.values), 1.0, fam),
+], ids=["Ap", "RHs", "hl_maximal_array", "hl_maximal_gridfunction"])
+def test_family_grid_must_match_input(estimate):
+    # a flat weight on the 32-grid averaged with cell counts of the 16-grid
+    # gave A_2 = 25 and RH_2 = 0.49 instead of 1
+    w = Weight.ones(Grid(2, 32))
+    with pytest.raises(ValueError, match="family grid does not match"):
+        estimate(w, BallFamily.dense_dyadic(Grid(2, 16)))
+
+
 # ------------------------------------------------------ analytic predicates
 
 
