@@ -91,6 +91,9 @@ def test_ball_cells_radius_half_and_monotonicity():
         ball_cells(g, c, 0.6)
     with pytest.raises(ValueError):
         ball_cells(g, c, 0.0)
+    for radius in (0.0, 0.6):
+        with pytest.raises(ValueError, match="radius"):
+            ball_max(np.zeros(g.shape), radius)
 
 
 def test_lp_norm_against_fsum_oracle():
@@ -191,16 +194,30 @@ def ball_max_cases(draw):
         field = rng.integers(-3, 4, g.shape).astype(float)
     else:
         field = rng.standard_normal(g.shape)
-    return g, radius, field
+    some_cells = draw(st.lists(st.integers(0, g.ncells - 1), min_size=1, max_size=4))
+    return g, radius, field, some_cells
 
 
-@settings(max_examples=25, deadline=None)
+def brute_ball_max(g, field, radius):
+    # cell centers are dyadic, so torus distances between them are exact and
+    # the ball around each cell is the ball_cells of cell 0 shifted there
+    c0 = g.cell_centers().reshape(-1, g.n)[0]
+    out = np.full(g.shape, -np.inf)
+    for j in zip(*np.unravel_index(ball_cells(g, c0, radius), g.shape)):
+        np.maximum(out, np.roll(field, [-k for k in j], axis=tuple(range(g.n))), out=out)
+    return out.ravel()
+
+
+@settings(max_examples=100, deadline=None)
 @given(ball_max_cases())
 def test_ball_max_equals_max_over_ball_cells(case):
-    g, radius, field = case
-    want = [field.ravel()[ball_cells(g, c, radius)].max()
-            for c in g.cell_centers().reshape(-1, g.n)]
-    assert np.array_equal(ball_max(field, radius).ravel(), want)
+    g, radius, field, some_cells = case
+    got = ball_max(field, radius).ravel()
+    assert np.array_equal(got, brute_ball_max(g, field, radius))
+    # and ball_cells around a few cells, with no shift assumed
+    centers = g.cell_centers().reshape(-1, g.n)
+    for i in some_cells:
+        assert got[i] == field.ravel()[ball_cells(g, centers[i], radius)].max()
 
 
 def test_serialization_roundtrip_and_header(tmp_path):
