@@ -11,18 +11,15 @@ Diagonal entries differentiate with the forward difference at their own
 face; cross terms use the centered difference averaged between the two
 cells sharing the face.
 
-Functional calculus is built once per operator, in three tiers. A
-Hermitian matrix gets a unitary diagonalization ("hermitian-eig"), and every
-scalar function of L is available. Any other matrix gets a general
-eigendecomposition ("eig"), accepted while the eigenbasis condition number
-stays below the constant bound 1e8. Above the bound the operator keeps no
-eigenbasis ("dense-fallback"): arbitrary scalar functions raise
-ConditioningError, while the semigroup families remain available through
-dense expm/sqrtm evaluations of the assembled matrix itself, so L1 = 0 stays
-exact. That is the honest route for defective spectra, where a diagonal
-calculus has no accuracy to offer. The dense matrices are cached per
-operator and built once, also when concurrent samples ask for the same one
-at the same time.
+Functional calculus is built once per operator, in two tiers chosen from
+the structure of the assembled matrix. A Hermitian matrix gets a unitary
+diagonalization ("hermitian-eig"). Any other matrix keeps no eigenbasis
+("dense-fallback"): for bounded complex coefficients L is in general not
+normal, and a diagonal calculus is only as accurate as the condition number
+of its basis allows. The semigroup families then run through dense
+expm/sqrtm evaluations of the assembled matrix itself, so L1 = 0 stays
+exact. The dense matrices are cached per operator and built once, also when
+concurrent samples ask for the same one at the same time.
 
 Every family member goes through one seam: _symbol writes the spectral
 symbols, _apply evaluates a member on columns in whichever tier the operator
@@ -30,7 +27,7 @@ has (or by subordination), and _member adds the scaled gradients and the
 adjoint.
 
 EllipticOperator.ladder evaluates one family member at every level of a
-time ladder. In the eigen tiers (direct route) f is projected onto the
+time ladder. In the Hermitian tier (direct route) f is projected onto the
 eigenbasis once, and all levels, time components included, come from one
 matrix product of the basis with the stacked symbols; the dense fallback and
 the subordination route evaluate level by level.
@@ -69,10 +66,6 @@ class EllipticityError(ValueError):
     def __init__(self, msg, cell=None):
         super().__init__(msg)
         self.cell = cell
-
-
-class ConditioningError(RuntimeError):
-    """No usable eigenbasis; arbitrary scalar calculus refused."""
 
 
 class QuadratureError(RuntimeError):
@@ -206,29 +199,14 @@ def apply_divform(coeff, f):
 # ------------------------------------------------------------- the operator
 
 
-# eigenbasis condition above which a non-Hermitian operator keeps no basis
-_COND_BOUND = 1e8
-
-
 @dataclass
 class BuildReport:
+    """Calculus tier of one operator; cond is the eigenbasis condition
+    number, 1 for the unitary basis and nan where no basis is computed."""
+
     tier: str
-    hermitian: bool
     cond: float
     notes: list = dfield(default_factory=list)
-
-
-def _cond_of(V):
-    if V.shape[0] <= 1536:
-        return float(np.linalg.cond(V))
-    lu = sla.lu_factor(V)
-    inv_norm1 = 0.0
-    eye = np.eye(V.shape[0], dtype=complex)
-    step = 512
-    for lo in range(0, V.shape[0], step):
-        cols = sla.lu_solve(lu, eye[:, lo:lo + step])
-        inv_norm1 = max(inv_norm1, float(np.abs(cols).sum(axis=0).max()))
-    return float(np.abs(V).sum(axis=0).max()) * inv_norm1
 
 
 class EllipticOperator:
@@ -240,7 +218,7 @@ class EllipticOperator:
     from internal dense caches keyed by time, which do not change results.
     """
 
-    def __init__(self, grid, coeff, matrix, report, V=None, eigs=None, lu=None):
+    def __init__(self, grid, coeff, matrix, report, V=None, eigs=None):
         self.grid = grid
         self.coeff = coeff
         self.matrix = matrix
@@ -249,7 +227,6 @@ class EllipticOperator:
         self.Lam = coeff.Lam
         self._V = V
         self._eigs = eigs
-        self._lu = lu
         self._cache = {}
         self._cache_lock = threading.Lock()
         self._key_locks = {}
@@ -286,22 +263,13 @@ class EllipticOperator:
         return self._eigs is not None
 
     def _project(self, cols):
-        """Eigenbasis coordinates V^-1 cols; in the unitary case V^H cols,
-        formed as conj(V^T conj(cols)) so that V^H is never copied out."""
-        if self.report.hermitian:
-            return _adjoint_product(self._V, cols)
-        return sla.lu_solve(self._lu, cols)
+        """Coordinates V^H cols in the unitary eigenbasis, formed as
+        conj(V^T conj(cols)) so that V^H is never copied out."""
+        return _adjoint_product(self._V, cols)
 
     def _diag_apply(self, phi_vals, cols, adjoint=False):
-        V = self._V
-        if self.report.hermitian:
-            pv = np.conj(phi_vals) if adjoint else phi_vals
-            return V @ (pv[:, None] * self._project(cols))
-        if adjoint:
-            # (V D V^-1)^H = V^-H conj(D) V^H
-            z = np.conj(phi_vals)[:, None] * _adjoint_product(V, cols)
-            return sla.lu_solve(self._lu, z, trans=2)
-        return V @ (phi_vals[:, None] * self._project(cols))
+        pv = np.conj(phi_vals) if adjoint else phi_vals
+        return self._V @ (pv[:, None] * self._project(cols))
 
     def _cached(self, key, build):
         """Dense cache entry built once per key, also when several callers
@@ -336,27 +304,6 @@ class EllipticOperator:
         self.report.notes.append(f"sqrtm residual {resid:.1e}")
         return np.ascontiguousarray((S - J).astype(complex))
 
-    # ----------------------------------------------------- scalar calculus
-
-    def apply_matrix_function(self, phi, f, adjoint=False):
-        """phi(L) f through the cached eigenbasis.
-
-        Refused when no acceptably conditioned eigenbasis exists; the
-        semigroup families below stay available in that case.
-        """
-        cols, tag = self._as_columns(f)
-        if not self.has_eigenbasis:
-            raise ConditioningError(
-                f"eigenbasis condition {self.report.cond:.2e} exceeds {_COND_BOUND:.0e}; "
-                "arbitrary scalar functions are unavailable, but heat/poisson families "
-                "and their gradients run through dense routes")
-        vals = np.asarray(phi(self._eigs), dtype=complex)
-        if vals.shape != self._eigs.shape:
-            raise ValueError("phi must map the spectrum array elementwise")
-        if np.all(vals == 1.0):
-            return self._wrap(cols.copy(), tag)
-        return self._wrap(self._diag_apply(vals, cols, adjoint), tag)
-
     # ---------------------------------------------------------- semigroups
 
     def _symbol(self, family, t, m, half=False):
@@ -384,7 +331,7 @@ class EllipticOperator:
     def _apply(self, family, t, m, cols, method="direct", half=False, adjoint=False):
         """The member (or its term R, see _symbol) on columns, or its adjoint.
 
-        The eigen tiers scale the symbol in the basis. The dense fallback
+        The Hermitian tier scales the symbol in the basis. The dense fallback
         applies the cached expm, then 2 t^2 M (heat) or t S (Poisson) for
         R, then m products with t^2 M. On the subordination route the Poisson
         member is a weighted sum of heat members of order m at the times
@@ -505,7 +452,7 @@ class EllipticOperator:
         shape (len(levels), comps, *grid.shape). method selects the Poisson
         route and is ignored by the heat family.
 
-        In the eigen tiers on the direct route f is projected once and every
+        In the Hermitian tier on the direct route f is projected once and every
         level comes from one product V (Phi o c)^T, Phi holding the symbols
         of all levels (and their time components) as rows. The dense
         fallback and the subordination route go level by level.
@@ -568,7 +515,7 @@ def _subordination_tail_check(K, u_max, tol, nodes):
 
 
 def _clean_spectrum(eigs):
-    # constants are annihilated exactly, but eig returns the zero mode with
+    # constants are annihilated exactly, but eigh returns the zero mode with
     # O(eps ||M||) noise; its square root is O(sqrt(eps ||M||)) and would
     # leak into e^{-t sqrt(L)}, so snap roundoff-scale eigenvalues to zero
     tiny = 1e-12 * float(np.abs(eigs).max())
@@ -590,25 +537,15 @@ def assemble(grid, coeff):
     M = np.ascontiguousarray(M)
 
     scale = float(np.abs(M).max())
-    hermitian = bool(np.allclose(M, M.conj().T, atol=1e-12 * scale))
-
-    if hermitian:
+    if np.allclose(M, M.conj().T, atol=1e-12 * scale):
         eigs, V = np.linalg.eigh((M + M.conj().T) / 2)
         eigs = _clean_spectrum(eigs.astype(complex))
-        report = BuildReport("hermitian-eig", True, 1.0)
+        report = BuildReport("hermitian-eig", 1.0)
         return EllipticOperator(grid, coeff, M, report, V=V, eigs=eigs)
 
-    eigs, V = np.linalg.eig(M)
-    eigs = _clean_spectrum(eigs)
-    cond = _cond_of(V)
-    if cond <= _COND_BOUND:
-        report = BuildReport("eig", False, cond)
-        return EllipticOperator(grid, coeff, M, report, V=V, eigs=eigs,
-                                lu=sla.lu_factor(V))
-
-    report = BuildReport("dense-fallback", False, cond,
-                         notes=[f"eigenbasis cond {cond:.2e} above {_COND_BOUND:.0e}; "
-                                "no eigenbasis kept, semigroups run via expm/sqrtm"])
+    report = BuildReport("dense-fallback", math.nan,
+                         notes=["non-Hermitian: no eigendecomposition, "
+                                "semigroups run via expm/sqrtm"])
     return EllipticOperator(grid, coeff, M, report)
 
 

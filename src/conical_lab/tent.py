@@ -8,8 +8,6 @@ cell sums are weighted by h^n. Cone cross-sections must embed in the torus,
 so aperture * t_max <= 1/2 throughout.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -286,16 +284,6 @@ def whitney(mask, grid):
     visit(0, (0,) * grid.n)
     cubes.sort(key=lambda q: (q.level, q.corner))
     return cubes
-
-
-def cubes_to_csv(cubes, n):
-    """CSV listing (level, corner indices, side, dist), one row per cube."""
-    buf = io.StringIO()
-    wr = csv.writer(buf)
-    wr.writerow(["level"] + [f"corner_{j}" for j in range(n)] + ["side", "dist"])
-    for q in cubes:
-        wr.writerow([q.level, *q.corner, repr(q.side), repr(q.dist)])
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------- density sets

@@ -21,7 +21,6 @@ also at r=1) and w_theta in RH_s iff theta < n/s, which pin r_w = max(1,
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -331,35 +330,3 @@ def hl_maximal(f, p0, family, centered=False):
         avg = ball_sum(vals, r) / cnt
         np.maximum(out, avg if centered else ball_max(avg, r), out=out)
     return out ** (1.0 / p0)
-
-
-@dataclass
-class MuckenhouptReport:
-    """Constant tables for one weight at one resolution."""
-
-    label: str
-    N: int
-    ap_rows: list
-    rh_rows: list
-    exponents: CriticalExponents
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC)
-            wr.writerow(["kind", "exponent", "constant", "N"])
-            for p, c in self.ap_rows:
-                wr.writerow(["Ap", p, c, self.N])
-            for s, c in self.rh_rows:
-                wr.writerow(["RH", s, c, self.N])
-
-
-def muckenhoupt_report(w, family, p_list, s_list, tol=0.25):
-    label = "w" if w.power is None else f"power(theta={w.power.theta})"
-    ap = [(p, estimate_Ap_constant(w, p, family)) for p in p_list]
-    rh = [(s, estimate_RHs_constant(w, s, family)) for s in s_list]
-    # per-ball Jensen makes the A_p table nonincreasing in p; a violation
-    # beyond roundoff means the estimator itself is broken
-    for (p1, c1), (p2, c2) in zip(ap, ap[1:]):
-        if p1 < p2 and c2 > c1 * (1 + 1e-9):
-            raise AssertionError(f"A_p table not nonincreasing at p={p1}->{p2}")
-    return MuckenhouptReport(label, w.grid.N, ap, rh, estimate_critical_exponents(w, family, tol))

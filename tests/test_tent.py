@@ -7,8 +7,6 @@ the fitted-bound protocols freeze constants on a seeded batch before a fresh
 holdout batch must honor them.
 """
 
-import csv
-import io
 import math
 
 import numpy as np
@@ -595,18 +593,6 @@ class TestWhitney:
             tent.whitney(np.zeros(grid.shape, bool), grid)
         with pytest.raises(ValueError, match="whole torus"):
             tent.whitney(np.ones(grid.shape, bool), grid)
-
-    def test_csv_round_trip(self, ball_mask):
-        grid, _, cubes = ball_mask
-        text = tent.cubes_to_csv(cubes, grid.n)
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["level", "corner_0", "corner_1", "side", "dist"]
-        assert len(rows) == len(cubes) + 1
-        for row, q in zip(rows[1:], cubes):
-            assert int(row[0]) == q.level
-            assert tuple(int(c) for c in row[1:3]) == q.corner
-            assert float(row[3]) == q.side
-            assert float(row[4]) == q.dist
 
 
 @pytest.fixture(scope="module")
