@@ -22,15 +22,14 @@ exact. The dense matrices are cached per operator and built once, also when
 concurrent samples ask for the same one at the same time.
 
 Every family member goes through one seam: _symbol writes the spectral
-symbols, _apply evaluates a member on columns in whichever tier the operator
-has (or by subordination), and _member adds the scaled gradients and the
-adjoint.
-
-EllipticOperator.ladder evaluates one family member at every level of a
-time ladder. In the Hermitian tier (direct route) f is projected onto the
-eigenbasis once, and all levels, time components included, come from one
-matrix product of the basis with the stacked symbols; the dense fallback and
-the subordination route evaluate level by level.
+symbols and their time components, _apply evaluates a member at every time of
+a ladder on columns, in whichever tier the operator has (or by
+subordination), and _member adds the scaled gradients and the adjoint. The
+Hermitian tier projects onto the eigenbasis once and takes all levels, time
+components included, from one matrix product with the stacked symbols; the
+dense fallback goes level by level with the cached expm. heat, poisson,
+their gradients and EllipticOperator.ladder are thin entries to that one
+evaluator.
 
 The Poisson semigroup comes in two routes: the direct principal-branch
 calculus phi(z) = (t^2 z)^K e^{-t sqrt(z)} and the subordination rule
@@ -262,15 +261,6 @@ class EllipticOperator:
     def has_eigenbasis(self):
         return self._eigs is not None
 
-    def _project(self, cols):
-        """Coordinates V^H cols in the unitary eigenbasis, formed as
-        conj(V^T conj(cols)) so that V^H is never copied out."""
-        return _adjoint_product(self._V, cols)
-
-    def _diag_apply(self, phi_vals, cols, adjoint=False):
-        pv = np.conj(phi_vals) if adjoint else phi_vals
-        return self._V @ (pv[:, None] * self._project(cols))
-
     def _cached(self, key, build):
         """Dense cache entry built once per key, also when several callers
         ask for it at the same time; distinct keys build in parallel."""
@@ -306,80 +296,93 @@ class EllipticOperator:
 
     # ---------------------------------------------------------- semigroups
 
-    def _symbol(self, family, t, m, half=False):
+    def _symbol(self, family, t, m, time=False):
         """Symbol of one member on the spectrum; t is a time or a column of
         times. The only place the symbols are written:
 
             heat      (t^2 z)^m e^{-t^2 z}
             poisson   (t^2 z)^m e^{-t sqrt(z)}
 
-        half=True gives the term R in t d/dt (member) = 2m (member) - R:
-        2 (t^2 z)^{m+1} e^{-t^2 z} for heat, the half order
-        (t sqrt(z))^{2m+1} e^{-t sqrt(z)} for Poisson.
+        time=True stacks the time component t d/dt (member) = 2m (member) - R
+        after the member, with R = 2 (t^2 z)^{m+1} e^{-t^2 z} for heat and the
+        half order (t sqrt(z))^{2m+1} e^{-t sqrt(z)} for Poisson.
         """
         lam = self._eigs
+        tau = t * t
         if family == "heat":
-            if half:
-                return 2 * self._symbol("heat", t, m + 1)
-            tau = t * t
-            return (tau * lam) ** m * np.exp(-tau * lam)
+            phi = (tau * lam) ** m * np.exp(-tau * lam)
+            if time:
+                return np.stack([phi, 2 * m * phi - 2 * self._symbol("heat", t, m + 1)])
+            return phi
         root = np.sqrt(lam)  # principal branch, Re >= 0
-        if half:
-            return (t * root) ** (2 * m + 1) * np.exp(-t * root)
-        return (t * t * lam) ** m * np.exp(-t * root)
+        phi = (tau * lam) ** m * np.exp(-t * root)
+        if time:
+            return np.stack([phi, 2 * m * phi - (t * root) ** (2 * m + 1) * np.exp(-t * root)])
+        return phi
 
-    def _apply(self, family, t, m, cols, method="direct", half=False, adjoint=False):
-        """The member (or its term R, see _symbol) on columns, or its adjoint.
+    def _apply(self, family, times, m, cols, method="direct", adjoint=False, time=False):
+        """The member at every time of times, on columns (ncells, B); returns
+        (len(times), ncells, B). time=True adds a leading axis of two that
+        holds the member and its time component (see _symbol).
 
-        The Hermitian tier scales the symbol in the basis. The dense fallback
-        applies the cached expm, then 2 t^2 M (heat) or t S (Poisson) for
-        R, then m products with t^2 M. On the subordination route the Poisson
-        member is a weighted sum of heat members of order m at the times
+        The Hermitian tier projects cols once and takes every level, time
+        components included, from one product of the basis with the stacked
+        symbols. The dense fallback goes time by time: the cached expm, then
+        m products with t^2 M; R for the time component starts from 2 t^2 M
+        (heat) or t S (Poisson) on the same expm product and takes the same
+        m products. On the subordination route the Poisson member is a
+        weighted sum of heat members of order m at the times
         s = t / (2 sqrt(u)), with node weight (4u)^m since t^2 L = (4u) s^2 L;
-        t d/dt acts on each term as s d/ds, so R is the same sum of heat R.
+        t d/dt acts on each term as s d/ds, so the time component is the same
+        sum of heat ones.
         """
         if method not in ("direct", "subordination"):
             raise ValueError(f"unknown method {method!r}")
+        times = np.asarray(times, dtype=float)
         if family == "poisson" and method == "subordination":
             u, w, norm = _genlaguerre_rule(48)
             _subordination_tail_check(m, u[-1], 1e-8, 48)
-            out = np.zeros_like(cols)
-            for ui, wi in zip(u, w):
-                s = t / (2 * math.sqrt(ui))
-                out += (wi * (4 * ui) ** m) * self._apply("heat", s, m, cols, half=half,
-                                                          adjoint=adjoint)
+            out = sum((wi * (4 * ui) ** m) * self._apply(
+                "heat", times / (2 * math.sqrt(ui)), m, cols, adjoint=adjoint, time=time)
+                for ui, wi in zip(u, w))
             return out / norm
         if self.has_eigenbasis:
-            return self._diag_apply(self._symbol(family, t, m, half), cols, adjoint)
+            phi = self._symbol(family, times[:, None], m, time)
+            if adjoint:
+                phi = np.conj(phi)
+            c = _adjoint_product(self._V, cols)
+            rows = (phi[..., None, :] * c.T).reshape(-1, self.ncells) @ self._V.T
+            return rows.reshape(*phi.shape[:-1], -1, self.ncells).swapaxes(-1, -2)
 
         def mul(A, x):
             return _adjoint_product(A, x) if adjoint else A @ x
 
-        tau = t * t
-        if family == "heat":
-            out = mul(self._expm("h", tau), cols)
-            if half:
-                out = 2 * tau * mul(self.matrix, out)
-        else:
-            S = self._sqrt_matrix()
-            out = mul(self._expm("p", t, gen=S), cols)
-            if half:
-                out = t * mul(S, out)
-        for _ in range(m):
-            out = tau * mul(self.matrix, out)
-        return out
+        members, comps = [], []
+        for t in times:
+            tau = t * t
+            if family == "heat":
+                base = mul(self._expm("h", tau), cols)
+                R = 2 * tau * mul(self.matrix, base) if time else None
+            else:
+                S = self._sqrt_matrix()
+                base = mul(self._expm("p", t, gen=S), cols)
+                R = t * mul(S, base) if time else None
+            for _ in range(m):
+                base = tau * mul(self.matrix, base)
+                if time:
+                    R = tau * mul(self.matrix, R)
+            members.append(base)
+            if time:
+                comps.append(2 * m * base - R)
+        return np.stack([members, comps]) if time else np.stack(members)
 
     def heat(self, t, m, f, adjoint=False):
         """(t^2 L)^m e^{-t^2 L} f."""
-        SemigroupRequest("heat", t, m)
-        cols, tag = self._as_columns(f)
-        return self._wrap(self._apply("heat", t, int(m), cols, adjoint=adjoint), tag)
+        return self._evaluate("heat", t, m, "none", f, "direct", adjoint)
 
     def poisson(self, t, K, f, method="direct", adjoint=False):
         """(t sqrt(L))^{2K} e^{-t sqrt(L)} f."""
-        SemigroupRequest("poisson", t, K)
-        cols, tag = self._as_columns(f)
-        return self._wrap(self._apply("poisson", t, int(K), cols, method, adjoint=adjoint), tag)
+        return self._evaluate("poisson", t, K, "none", f, method, adjoint)
 
     # ------------------------------------------------------------ gradients
 
@@ -399,47 +402,63 @@ class EllipticOperator:
     def _gradient(self, family, t, m, f, mode, method):
         if mode not in ("spatial", "full"):
             raise ValueError("mode must be spatial or full")
-        SemigroupRequest(family, t, m, mode)
+        return self._evaluate(family, t, m, mode, f, method)
+
+    def _evaluate(self, family, t, m, derivative, f, method, adjoint=False):
+        """One member at one time on any input container: the family itself
+        in f's container, a gradient as components (comps, ...)."""
+        SemigroupRequest(family, t, m, derivative)
         cols, tag = self._as_columns(f)
-        out = self._member(family, t, int(m), mode, cols, method)
+        if derivative == "none":
+            return self._wrap(self._apply(family, (t,), int(m), cols, method, adjoint)[0], tag)
+        out = self._member(family, (t,), int(m), derivative, cols, method)[0]
         if tag[0] == "flat":
             return out[..., 0]
         fields = out.transpose(0, 2, 1).reshape(out.shape[0], cols.shape[1], *self.grid.shape)
         return fields if tag[0] == "batch" else fields[:, 0]
 
-    def _member(self, family, t, m, derivative, cols, method, adjoint=False):
-        """One member at one time, as SemigroupRequest names it, from columns
-        (ncells, B) to components (comps, ncells, B); with adjoint=True, cols
-        holds such components and the adjoint maps them back to columns.
+    def _member(self, family, times, m, derivative, cols, method, adjoint=False):
+        """One member, as SemigroupRequest names it, at every time of times,
+        from columns (ncells, B) to components (len(times), comps, ncells, B).
+        With adjoint=True times holds one time, cols holds the components
+        (comps, ncells, B) of that time, and the adjoint maps them back to
+        columns.
 
         "spatial" is t times the forward difference along each axis, "full"
-        appends the time component t d/dt (member) = 2m (member) - R, with R
-        as in _symbol.
+        appends the time component t d/dt (member).
         """
         n, h, shape = self.grid.n, self.grid.h, self.grid.shape
+        times = np.asarray(times, dtype=float)
 
-        def apply(x, half=False):
-            return self._apply(family, t, m, x, method, half, adjoint)
+        def apply(x, time=False):
+            return self._apply(family, times, m, x, method, adjoint, time)
 
         B = cols.shape[-1]
         if adjoint:
             if derivative == "none":
-                return apply(cols[0])
+                return apply(cols[0])[0]
             # the adjoint of the forward difference is minus the backward one
+            t = times[0]
             x = sum((-t) * _bwd(cols[j].T.reshape(B, *shape), n, j, h).reshape(B, -1).T
                     for j in range(n))
             if derivative == "spatial":
-                return apply(x)
-            return apply(x + 2 * m * cols[n]) - apply(cols[n], half=True)
+                return apply(x)[0]
+            return apply(x)[0] + apply(cols[n], time=True)[1, 0]
 
-        base = apply(cols)
-        if derivative == "none":
-            return base[None]
-        fields = base.T.reshape(B, *shape)
-        comps = [(t * _fwd(fields, n, j, h)).reshape(B, -1).T for j in range(n)]
         if derivative == "full":
-            comps.append(2 * m * base - apply(cols, half=True))
-        return np.stack(comps)
+            base, dt = apply(cols, time=True)
+        else:
+            base = apply(cols)
+        if derivative == "none":
+            return base[:, None]
+        L = times.size
+        fields = base.transpose(0, 2, 1).reshape(L, B, *shape)
+        tb = times.reshape(L, *([1] * (n + 1)))
+        comps = [(tb * _fwd(fields, n, j, h)).reshape(L, B, -1).transpose(0, 2, 1)
+                 for j in range(n)]
+        if derivative == "full":
+            comps.append(dt)
+        return np.stack(comps, axis=1)
 
     # --------------------------------------------------------- time ladder
 
@@ -451,42 +470,16 @@ class EllipticOperator:
         components of heat_gradient / poisson_gradient. Returns an array of
         shape (len(levels), comps, *grid.shape). method selects the Poisson
         route and is ignored by the heat family.
-
-        In the Hermitian tier on the direct route f is projected once and every
-        level comes from one product V (Phi o c)^T, Phi holding the symbols
-        of all levels (and their time components) as rows. The dense
-        fallback and the subordination route go level by level.
         """
         times = np.asarray(levels, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("levels must be a nonempty sequence of times")
         SemigroupRequest(family, float(times.min()), order, derivative)
-        if method not in ("direct", "subordination"):
-            raise ValueError(f"unknown method {method!r}")
         cols, _ = self._as_columns(f)
         if cols.shape[1] != 1:
             raise ValueError("ladder takes a single field, not a batch")
-        m = int(order)
-        if not self.has_eigenbasis or (family == "poisson" and method != "direct"):
-            return np.stack([self._member(family, t, m, derivative, cols, method)[..., 0]
-                             for t in times]).reshape(times.size, -1, *self.grid.shape)
-
-        t = times[:, None]
-        rows = [self._symbol(family, t, m)]
-        if derivative == "full":
-            rows.append(2 * m * rows[0] - self._symbol(family, t, m, half=True))
-        phi = np.concatenate(rows)
-        c = self._project(cols)[:, 0]
-        vals = ((phi * c) @ self._V.T).reshape(len(rows), times.size, *self.grid.shape)
-        base = vals[0]
-        if derivative == "none":
-            return base[:, None]
-        n, h = self.grid.n, self.grid.h
-        tb = times.reshape(-1, *([1] * n))
-        comps = [tb * _fwd(base, n, j, h) for j in range(n)]
-        if derivative == "full":
-            comps.append(vals[1])
-        return np.stack(comps, axis=1)
+        out = self._member(family, times, int(order), derivative, cols, method)
+        return out[..., 0].reshape(times.size, -1, *self.grid.shape)
 
 
 @lru_cache(maxsize=8)
@@ -633,10 +626,10 @@ def restricted_opnorm(apply_fn, grid, E, F, p=2.0, q=2.0, adjoint_fn=None,
 
 def offdiagonal_opnorm(op, request, E, F, p=2.0, q=2.0, samples=64, iters=40, seed=0):
     """Restricted norm of one semigroup family member between cell sets."""
-    member = (request.family, request.time, int(request.order), request.derivative)
+    member = (request.family, (request.time,), int(request.order), request.derivative)
 
     def fwd(cols):
-        return op._member(*member, cols, "direct")
+        return op._member(*member, cols, "direct")[0]
 
     def adj(comps):
         return op._member(*member, comps, "direct", adjoint=True)
@@ -652,12 +645,8 @@ def _dense_family(op, family, t, derivative="none"):
     """Dense matrix of the family member at time t (m = K = 0), or of its
     scaled spatial gradient with the n components stacked as row blocks."""
     nc = op.ncells
-    out = op._member(family, t, 0, derivative, np.eye(nc, dtype=complex), "direct")
-    return out.reshape(-1, nc)
-
-
-def _dense_gradient(op, family, t):
-    return _dense_family(op, family, t, "spatial")
+    out = op._member(family, (t,), 0, derivative, np.eye(nc, dtype=complex), "direct")
+    return out[0].reshape(-1, nc)
 
 
 def _matrix_pnorm(B, p, ncomp=1, starts=4, iters=30, seed=1):
@@ -723,7 +712,7 @@ def uniform_boundedness_scan(op, family, p_list, t_list, coarse_op=None,
             if family == "heat":
                 mats.append((_dense_family(o, "heat", t), 1))
             else:
-                mats.append((_dense_gradient(o, "heat", t), o.grid.n))
+                mats.append((_dense_family(o, "heat", t, "spatial"), o.grid.n))
         sups = []
         for p in p_list:
             sups.append(max(_matrix_pnorm(B, p, ncomp=c) for B, c in mats))

@@ -184,10 +184,6 @@ class TimeGrid:
         """Measure of one level under dt/t, equal to log(ratio)."""
         return float(np.log(self.ratio))
 
-    @property
-    def times(self):
-        return np.asarray(self.levels)
-
     def __len__(self):
         return len(self.levels)
 

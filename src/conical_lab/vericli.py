@@ -58,7 +58,7 @@ class ConfigError(ValueError):
 
 _INT_KEYS = ("n", "N", "levels", "samples", "seed", "order")
 _FLOAT_KEYS = (
-    "t0", "ratio", "theta", "p", "p0", "q", "r", "s",
+    "t0", "ratio", "theta", "p", "p0", "r", "s",
     "tol", "drift", "margin", "t", "radius",
 )
 _STR_KEYS = ("experiment", "preset", "coeff_file", "branch", "family", "out")
@@ -99,7 +99,6 @@ class ExperimentConfig:
     center: tuple | None = None
     p: float = 2.0
     p0: float | None = None
-    q: float = 2.0
     r: float | None = None
     s: float | None = None
     apertures: tuple | None = None

@@ -402,6 +402,14 @@ class TestMain:
         assert vericli.main(
             ["sharpness", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_retired_exponent_key_rejected(self, tmp_path, capsys):
+        # no experiment reads a key q, so it is unknown rather than ignored
+        code = vericli.main(["sharpness", "--set", "seed=1", "--set", "q=3",
+                             "--out", str(tmp_path)])
+        assert code == 2
+        assert "unknown config key 'q'" in capsys.readouterr().err
+        assert not (tmp_path / "sharpness.csv").exists()
+
     @pytest.mark.parametrize("experiment, key, value", [
         ("carleson", "N", 8),
         ("carleson", "n", 4),
