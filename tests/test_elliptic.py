@@ -592,7 +592,7 @@ def test_ladder_matches_per_level(fix, request):
     cases = [("heat", "direct"), ("poisson", "direct")]
     if fix == "lap1":
         # the ladder takes every level in one product, the per-level call
-        # one level at a time: the two agree to roundoff, not bitwise
+        # one level at a time, so they are compared to roundoff here
         cases.append(("poisson", "subordination"))
     for family, method in cases:
         for derivative in ("none", "spatial", "full"):
@@ -608,6 +608,16 @@ def test_ladder_matches_per_level(fix, request):
                     scale = max(np.linalg.norm(want), np.linalg.norm(member))
                     err = np.linalg.norm(got[k] - want) / scale
                     assert err < 1e-12, (family, method, derivative, order, t)
+
+
+def test_ladder_subordination_route(lap1):
+    g = lap1.grid
+    f = GridFunction(g, np.sin(2 * np.pi * g.cell_centers()[..., 0]) + 0j)
+    levels = (0.2, 0.4)
+    got = lap1.ladder("poisson", 1, "full", levels, f, method="subordination")
+    for k, t in enumerate(levels):
+        want = lap1.poisson_gradient(t, 1, f, mode="full", method="subordination")
+        assert np.array_equal(got[k], want)
 
 
 def test_ladder_validation(lap1):
