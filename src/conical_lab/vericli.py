@@ -198,6 +198,11 @@ class ExperimentConfig:
     def count(self, default):
         return self.samples if self.samples is not None else default
 
+    @property
+    def identity(self):
+        """Identity coefficients, the one case whose exponent range is certain."""
+        return self.coeff_file is None and self.preset == "laplace"
+
 
 # --------------------------------------------------------------- results
 
@@ -294,18 +299,16 @@ def _thread_count():
     return count
 
 
-def _spawn_rngs(seed, count):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
-def _map_samples(fn, items):
-    # per-sample seeds are spawned before dispatch, so results are
+def _map_samples(fn, seed, count):
+    """fn applied to count generators spawned from seed, in spawn order."""
+    # the generators are spawned before dispatch, so results are
     # independent of scheduling
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
     workers = _thread_count()
     if workers == 1:
-        return [fn(item) for item in items]
+        return [fn(rng) for rng in rngs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, rngs))
 
 
 def _rand_field(grid, tgrid, rng):
@@ -321,8 +324,15 @@ def _rand_gf(grid, rng):
     )
 
 
-def _fit_holdout(table, experiment, params, ratios, margin):
-    """One fitted-constant row pair: the constant, then the holdout verdict."""
+def _fit_holdout(table, experiment, params, ratios, margin, note=None):
+    """One fitted-constant row pair: the constant, then the holdout verdict.
+
+    A note marks the class as not certain: then a single info row, tagged
+    with the note, carries the worst ratio and nothing is asserted.
+    """
+    if note is not None:
+        table.info(experiment, {**params, "note": note}, max(ratios))
+        return
     half = max(1, len(ratios) // 2)
     report = tent.fitted_bound_report(ratios[:half], ratios[half:], margin=margin)
     table.info(experiment, {**params, "stat": "fitted_constant"},
@@ -330,7 +340,18 @@ def _fit_holdout(table, experiment, params, ratios, margin):
     table.add(experiment, {**params, "stat": "holdout_max"},
               report.holdout_max, report.constant, "fitted", margin,
               "pass" if report.ok else "fail")
-    return report
+
+
+def _drift_rows(table, experiment, params, N, fine, coarse, drift, certain=True):
+    """One refinement-stability row pair: the value at N/2, then the value at
+    N held against drift times it. A value that is not finite fails; where
+    the class is not certain the verdict is info."""
+    table.info(experiment, {**params, "N": N // 2}, coarse)
+    if not certain:
+        verdict = "info"
+    else:
+        verdict = "pass" if math.isfinite(fine) and fine <= drift * coarse else "fail"
+    table.add(experiment, {**params, "N": N}, fine, coarse, "derived", drift, verdict)
 
 
 # ------------------------------------------------------------ sharpness
@@ -415,8 +436,7 @@ def run_change_of_angle(cfg):
                 out.append((norms[a] / norms[b]) / (a / b) ** exponent)
         return out
 
-    ratios = [x for chunk in
-              _map_samples(one, _spawn_rngs(cfg.seed, cfg.count(20)))
+    ratios = [x for chunk in _map_samples(one, cfg.seed, cfg.count(20))
               for x in chunk]
     table = ResultTable()
     params = {**label, "n": grid.n, "N": grid.N, "p": p, "theta": cfg.theta,
@@ -441,31 +461,26 @@ def run_carleson_suite(cfg):
     coarse_grid, grid = cfg.build_grid_pair(default_n=2)
     N = grid.N
 
-    def bracket(grid, seed):
-        tgrid = TimeGrid.spanning(grid)
-        fam = BallFamily.dense_dyadic(grid)
-
+    def bracket(grid, tgrid, fam, seed):
         def one(rng):
             F = _rand_field(grid, tgrid, rng)
             a = tent.carleson_functional(F, 2.0, fam).values.real
             b = tent.carleson_p0(F, 2.0, 2.0, fam).values.real
             return float((b / a).max()), float((a / b).max())
 
-        out = _map_samples(one, _spawn_rngs(seed, count))
+        out = _map_samples(one, seed, count)
         return max(x for x, _ in out), max(y for _, y in out)
 
-    hi_coarse, lo_coarse = bracket(coarse_grid, cfg.seed + 1)
-    hi, lo = bracket(grid, cfg.seed)
-    for name, fine, coarse in (("ratio_hi", hi, hi_coarse),
-                               ("ratio_lo", lo, lo_coarse)):
-        table.info("carleson", {"stat": name, "N": N // 2}, coarse)
-        verdict = "pass" if math.isfinite(fine) and fine <= cfg.drift * coarse else "fail"
-        table.add("carleson", {"stat": name, "N": N}, fine, coarse,
-                  "derived", cfg.drift, verdict)
-
-    # the zero field sends every functional to zero
+    hi_coarse, lo_coarse = bracket(coarse_grid, TimeGrid.spanning(coarse_grid),
+                                   BallFamily.dense_dyadic(coarse_grid), cfg.seed + 1)
     tgrid = TimeGrid.spanning(grid)
     fam = BallFamily.dense_dyadic(grid)
+    hi, lo = bracket(grid, tgrid, fam, cfg.seed)
+    for name, fine, coarse in (("ratio_hi", hi, hi_coarse),
+                               ("ratio_lo", lo, lo_coarse)):
+        _drift_rows(table, "carleson", {"stat": name}, N, fine, coarse, cfg.drift)
+
+    # the zero field sends every functional to zero
     zero = UpperHalfField(grid, tgrid, np.zeros((len(tgrid.levels), *grid.shape)))
     z = float(np.abs(tent.carleson_functional(zero, 2.0, fam).values).max())
     table.info("carleson", {"stat": "zero_field"}, z)
@@ -480,18 +495,14 @@ def run_carleson_suite(cfg):
         nc = lp_norm_weighted(tent.carleson_p0(F, 2.0, p0, fam), weight.values, p)
         return na / nc, nc / na
 
-    out = _map_samples(one, _spawn_rngs(cfg.seed + 2, count))
+    out = _map_samples(one, cfg.seed + 2, count)
     base = {"p0": p0, "p": p, "theta": cfg.theta, "N": N}
+    # outside A_{p/p0} the two-sided comparison carries no claim
+    note = None if in_class else "w outside A_{p/p0}"
     for direction, ratios in (("cone_over_box", [x for x, _ in out]),
                               ("box_over_cone", [y for _, y in out])):
-        if in_class:
-            _fit_holdout(table, "carleson", {**base, "direction": direction},
-                         ratios, cfg.margin)
-        else:
-            # outside A_{p/p0} the two-sided comparison carries no claim
-            table.info("carleson", {**base, "direction": direction,
-                                    "note": "w outside A_{p/p0}"},
-                       max(ratios))
+        _fit_holdout(table, "carleson", {**base, "direction": direction},
+                     ratios, cfg.margin, note)
     return table
 
 
@@ -515,20 +526,18 @@ def run_cp_vs_maximal(cfg):
     # the range p_-(L) < p0 <= 2 is certain for the identity preset; for
     # other coefficients the lower endpoint is only bracketed, so anything
     # below 2 is reported rather than asserted
-    if cfg.coeff_file is None and cfg.preset == "laplace":
-        in_range = 1.0 < p0 <= 2.0
-    else:
-        in_range = p0 == 2.0
+    in_range = 1.0 < p0 <= 2.0 if cfg.identity else p0 == 2.0
     table = ResultTable()
 
-    def max_ratios(grid, seed):
-        op = cfg.build_operator(grid)
-        tgrid = TimeGrid.spanning(grid)
-        fam = BallFamily.dense_dyadic(grid)
+    def build(grid):
+        return (cfg.build_operator(grid), TimeGrid.spanning(grid),
+                BallFamily.dense_dyadic(grid))
+
+    def max_ratios(op, tgrid, fam, seed):
         out = {name: [] for name in _CP_INTEGRANDS}
 
         def one(rng):
-            f = _rand_gf(grid, rng)
+            f = _rand_gf(op.grid, rng)
             M = hl_maximal(f, p0, fam)
             vals = {}
             for name, (family, order) in _CP_INTEGRANDS.items():
@@ -538,35 +547,23 @@ def run_cp_vs_maximal(cfg):
                 vals[name] = float((C / M).max())
             return vals
 
-        for vals in _map_samples(one, _spawn_rngs(seed, count)):
+        for vals in _map_samples(one, seed, count):
             for name, v in vals.items():
                 out[name].append(v)
         return out
 
-    coarse = max_ratios(coarse_grid, cfg.seed + 1)
-    fine = max_ratios(grid, cfg.seed)
+    coarse = max_ratios(*build(coarse_grid), cfg.seed + 1)
+    op, tgrid, fam = build(grid)
+    fine = max_ratios(op, tgrid, fam, cfg.seed)
+    note = None if in_range else "p0 outside the certain range"
     for name in _CP_INTEGRANDS:
         params = {"integrand": name, "p0": p0, "preset": cfg.preset}
-        if in_range:
-            _fit_holdout(table, "cp-maximal", params, fine[name], cfg.margin)
-        else:
-            table.info("cp-maximal",
-                       {**params, "note": "p0 outside the certain range"},
-                       max(fine[name]))
-        worst_fine, worst_coarse = max(fine[name]), max(coarse[name])
-        table.info("cp-maximal", {**params, "stat": "max_ratio", "N": N // 2},
-                   worst_coarse)
-        verdict = "pass" if worst_fine <= cfg.drift * worst_coarse else "fail"
-        if not in_range:
-            verdict = "info"
-        table.add("cp-maximal", {**params, "stat": "max_ratio", "N": N},
-                  worst_fine, worst_coarse, "derived", cfg.drift, verdict)
+        _fit_holdout(table, "cp-maximal", params, fine[name], cfg.margin, note)
+        _drift_rows(table, "cp-maximal", {**params, "stat": "max_ratio"}, N,
+                    max(fine[name]), max(coarse[name]), cfg.drift, in_range)
 
     # L1 = 0 holds up to rounding, so the box side of a constant input sits
     # at rounding-noise level
-    op = cfg.build_operator(grid)
-    tgrid = TimeGrid.spanning(grid)
-    fam = BallFamily.dense_dyadic(grid)
     one_f = GridFunction(grid, np.ones(grid.shape))
     spec = squarefn.SquareFunctionSpec("s_h", order=1, tgrid=tgrid)
     F = squarefn.integrand_field(op, spec, one_f)
@@ -579,12 +576,12 @@ def run_cp_vs_maximal(cfg):
 
 
 _OFFDIAG_FAMILIES = (
-    # label, request builder, model gate ("exp" or minimum polynomial order)
-    ("heat", lambda t, m: SemigroupRequest("heat", t, m), "exp"),
-    ("heat_gradient", lambda t, m: SemigroupRequest("heat", t, m, "spatial"), "exp"),
-    ("poisson", lambda t, K: SemigroupRequest("poisson", t, K), "poly"),
-    ("poisson_gradient",
-     lambda t, K: SemigroupRequest("poisson", t, K, "spatial"), "poly"),
+    # label, semigroup, derivative; heat members are held to the Gaussian
+    # model, Poisson members to a minimum polynomial order
+    ("heat", "heat", "none"),
+    ("heat_gradient", "heat", "spatial"),
+    ("poisson", "poisson", "none"),
+    ("poisson_gradient", "poisson", "spatial"),
 )
 
 
@@ -611,25 +608,29 @@ def run_offdiagonal(cfg):
             raise ConfigError(f"radius {rad} captures no cell at N = {grid.N}")
         return idx
 
-    table = ResultTable()
+    E = cells_near(anchor, radius)
+    Fs = []
+    for d in seps:
+        shifted = anchor.copy()
+        shifted[0] += d
+        Fs.append(cells_near(shifted, radius))
     order = cfg.order
-    for label, build, gate in _OFFDIAG_FAMILIES:
-        req = build(t, order)
+    requests = {label: SemigroupRequest(kind, t, order, derivative)
+                for label, kind, derivative in _OFFDIAG_FAMILIES}
+    x_exp = (np.asarray(seps) / t) ** 2
+    x_pol = np.log1p(x_exp)
+    table = ResultTable()
+    for label, req in requests.items():
         vals = []
-        for d in seps:
-            E = cells_near(anchor, radius)
-            shifted = anchor.copy()
-            shifted[0] += d
-            F = cells_near(shifted, radius)
+        for d, F in zip(seps, Fs):
             v = offdiagonal_opnorm(op, req, E, F, seed=cfg.seed)
             vals.append(v)
             table.info("offdiag", {"family": label, "order": order,
                                    "d": d, "t": t}, v)
         y = np.log(vals)
-        x_exp = (np.asarray(seps) / t) ** 2
-        x_pol = np.log1p(x_exp)
-        slope_exp, _ = np.polyfit(x_exp, y, 1)
-        rss_exp = float(((y - np.polyval(np.polyfit(x_exp, y, 1), x_exp)) ** 2).sum())
+        fit_exp = np.polyfit(x_exp, y, 1)
+        slope_exp = fit_exp[0]
+        rss_exp = float(((y - np.polyval(fit_exp, x_exp)) ** 2).sum())
         fit_pol = np.polyfit(x_pol, y, 1)
         rss_pol = float(((y - np.polyval(fit_pol, x_pol)) ** 2).sum())
         poly_order = -float(fit_pol[0])
@@ -638,7 +639,7 @@ def run_offdiagonal(cfg):
         table.info("offdiag", {**base, "stat": "model_preference",
                                "prefers": prefers},
                    rss_exp / rss_pol)
-        if gate == "exp":
+        if req.family == "heat":
             ok = prefers == "exp" and slope_exp <= -0.125
             table.add("offdiag", {**base, "stat": "exp_slope"},
                       float(slope_exp), -0.125, "derived", 0.0,
@@ -646,7 +647,7 @@ def run_offdiagonal(cfg):
         else:
             # Poisson kernels decay polynomially: order K + 1/2 for the
             # member, K + 1 for its gradient
-            want = order + (1.0 if label.endswith("gradient") else 0.5)
+            want = order + (1.0 if req.derivative == "spatial" else 0.5)
             ok = poly_order >= want - 0.5
             table.add("offdiag", {**base, "stat": "poly_order"},
                       poly_order, want, "paper", 0.5,
@@ -667,7 +668,6 @@ def run_boundedness(cfg):
     count = cfg.count(20)
     coarse_grid, grid = cfg.build_grid_pair(default_n=1)
     N, n = grid.N, grid.n
-    identity = cfg.coeff_file is None and cfg.preset == "laplace"
     table = ResultTable()
 
     def sups(grid, seed):
@@ -676,7 +676,6 @@ def run_boundedness(cfg):
         out = {}
         for family in families:
             spec = squarefn.SquareFunctionSpec(family)
-            rngs = _spawn_rngs(seed, count)
 
             def one(rng, spec=spec, op=op, grid=grid, weight=weight):
                 f = _rand_gf(grid, rng)
@@ -687,7 +686,7 @@ def run_boundedness(cfg):
                     for p in p_list
                 }
 
-            rows = _map_samples(one, rngs)
+            rows = _map_samples(one, seed, count)
             out[family] = {p: max(row[p] for row in rows) for p in p_list}
         return out
 
@@ -700,20 +699,15 @@ def run_boundedness(cfg):
             # certain only at p = 2 with the flat weight, and their Poisson
             # rows stay informational because the upper endpoint is only
             # bracketed
-            if identity:
+            if cfg.identity:
                 certain = power_weight_in_Ar(cfg.theta, n, p)
             else:
                 certain = (p == 2.0 and cfg.theta == 0.0
                            and not family.endswith("_p"))
-            a, b = coarse[family][p], fine[family][p]
             params = {"family": family, "p": p, "theta": cfg.theta,
-                      "preset": cfg.preset}
-            table.info("boundedness", {**params, "stat": "sup_ratio", "N": N // 2}, a)
-            verdict = "pass" if (np.isfinite(b) and b <= cfg.drift * a) else "fail"
-            if not certain:
-                verdict = "info"
-            table.add("boundedness", {**params, "stat": "sup_ratio", "N": N},
-                      b, a, "derived", cfg.drift, verdict)
+                      "preset": cfg.preset, "stat": "sup_ratio"}
+            _drift_rows(table, "boundedness", params, N, fine[family][p],
+                        coarse[family][p], cfg.drift, certain)
     return table
 
 
@@ -735,7 +729,6 @@ def run_comparisons(cfg):
     weight = cfg.build_weight(grid)
     p = cfg.p
     count = cfg.count(20)
-    identity = cfg.coeff_file is None and cfg.preset == "laplace"
     r_w, s_w = power_weight_exponents(cfg.theta, grid.n)
     table = ResultTable()
     for label, (top_fam, top_ord), (bot_fam, bot_ord), kind in _COMPARISON_PAIRS:
@@ -748,9 +741,9 @@ def run_comparisons(cfg):
                     / lp_norm_weighted(squarefn.evaluate(op, bottom, f),
                                        weight.values, p))
 
-        ratios = _map_samples(one, _spawn_rngs(cfg.seed, count))
+        ratios = _map_samples(one, cfg.seed, count)
         params = {"pair": label, "p": p, "theta": cfg.theta, "N": grid.N}
-        if identity:
+        if cfg.identity:
             # identity coefficients: lower exponent 1, upper infinite, and
             # the Poisson star exponent stays infinite at every K
             if kind == "poisson":
@@ -761,12 +754,8 @@ def run_comparisons(cfg):
             certain = lo < p < hi
         else:
             certain = False
-        if certain:
-            _fit_holdout(table, "comparisons", params, ratios, cfg.margin)
-        else:
-            table.info("comparisons",
-                       {**params, "note": "range not certain for this preset"},
-                       max(ratios))
+        _fit_holdout(table, "comparisons", params, ratios, cfg.margin,
+                     None if certain else "range not certain for this preset")
     return table
 
 
