@@ -6,10 +6,12 @@ or fitted), a tolerance, and a verdict. Rows whose parameters fall outside
 the analytically checked weight classes are emitted as info, never as fail:
 nothing is asserted where the hypotheses do not hold.
 
-Fitted-constant protocol: constants are fitted on the first half of the
-samples and asserted on the second half. Refinement-stability protocol: a
-quantity counts as bounded when its value at N stays within the configured
-drift factor of its value at N/2.
+Two protocols, each written once. Fitted constant (_fit_holdout): the
+constant is fitted on the first half of the samples and asserted on the
+second half; where the class is not certain, one info row carries the worst
+ratio instead. Refinement stability (_drift_rows): a quantity counts as
+bounded when its value at N is finite and stays within the configured drift
+factor of its value at N/2.
 """
 
 import argparse
@@ -63,6 +65,11 @@ _FLOAT_KEYS = (
 )
 _STR_KEYS = ("experiment", "preset", "coeff_file", "branch", "family", "out")
 _TUPLE_KEYS = ("apertures", "center", "separations", "p_list")
+# (key, lower bound, whether the bound itself is allowed)
+_LOWER_BOUNDS = (
+    ("samples", 2, True), ("p", 0, False), ("p0", 0, False),
+    ("t", 0, False), ("order", 0, True),
+)
 
 
 def _parse_scalar(key, value):
@@ -114,6 +121,13 @@ class ExperimentConfig:
     branch: str | None = None
     family: str | None = None
     out: str | None = None
+
+    def __post_init__(self):
+        for key, bound, closed in _LOWER_BOUNDS:
+            value = getattr(self, key)
+            if value is None or (value >= bound if closed else value > bound):
+                continue
+            raise ConfigError(f"{key} = {value} must be {'>=' if closed else '>'} {bound}")
 
     @classmethod
     def parse(cls, text="", overrides=()):
@@ -615,8 +629,11 @@ def run_offdiagonal(cfg):
         shifted[0] += d
         Fs.append(cells_near(shifted, radius))
     order = cfg.order
-    requests = {label: SemigroupRequest(kind, t, order, derivative)
-                for label, kind, derivative in _OFFDIAG_FAMILIES}
+    try:
+        requests = {label: SemigroupRequest(kind, t, order, derivative)
+                    for label, kind, derivative in _OFFDIAG_FAMILIES}
+    except ValueError as exc:
+        raise ConfigError(f"t = {t}, order = {order}: {exc}") from None
     x_exp = (np.asarray(seps) / t) ** 2
     x_pol = np.log1p(x_exp)
     table = ResultTable()
@@ -816,6 +833,14 @@ def main(argv=None):
                 f"config names experiment {cfg.experiment!r} but the command "
                 f"line asked for {args.experiment!r}"
             )
+        if args.experiment not in ("angles", "all"):
+            # only angles runs build a custom time grid
+            ignored = [k for k in ("t0", "ratio", "levels") if getattr(cfg, k) is not None]
+            if ignored:
+                raise ConfigError(
+                    f"{', '.join(ignored)} only apply to angles runs, "
+                    f"not to {args.experiment}"
+                )
         runner = run_all if args.experiment == "all" else EXPERIMENTS[args.experiment]
         table = runner(cfg)
     except ConfigError as exc:

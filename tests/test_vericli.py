@@ -133,6 +133,34 @@ class TestResultTable:
         assert math.isnan(float(row[3]))
 
 
+class TestDriftRows:
+    def rows(self, fine, coarse, certain=True):
+        t = ResultTable()
+        vericli._drift_rows(t, "x", {"stat": "s"}, 32, fine, coarse, 1.25,
+                            certain)
+        return t.rows
+
+    def test_row_pair(self):
+        coarse, fine = self.rows(1.2, 1.0)
+        assert (coarse.params, coarse.verdict) == ({"stat": "s", "N": 16}, "info")
+        assert coarse.measured == 1.0
+        assert fine.params == {"stat": "s", "N": 32}
+        assert (fine.measured, fine.reference, fine.tolerance) == (1.2, 1.0, 1.25)
+        assert fine.verdict == "pass"
+
+    @pytest.mark.parametrize("fine, coarse", [
+        (1.3, 1.0), (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan),
+        (math.nan, math.nan),
+    ])
+    def test_beyond_drift_or_not_finite_fails(self, fine, coarse):
+        assert self.rows(fine, coarse)[1].verdict == "fail"
+
+    @pytest.mark.parametrize("fine", [1.0, 1.3, math.inf])
+    def test_uncertain_class_is_info(self, fine):
+        assert [r.verdict for r in self.rows(fine, 1.0, certain=False)] == [
+            "info", "info"]
+
+
 class TestSharpness:
     def test_slope_row(self):
         t = vericli.run_sharpness(make("n = 2\ntheta = 0.5\np = 2"))
@@ -423,6 +451,36 @@ class TestMain:
                              "--set", f"{key}={value}", "--out", str(tmp_path)])
         assert code == 2
         assert f"{key} = {value}" in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}.csv").exists()
+
+    def test_time_grid_keys_only_for_angles(self, tmp_path, capsys):
+        code = vericli.main(["sharpness", "--set", "seed=1", "--set", "t0=0.3",
+                             "--set", "ratio=1.1", "--set", "levels=3",
+                             "--out", str(tmp_path)])
+        assert code == 2
+        assert "t0, ratio, levels only apply to angles" in capsys.readouterr().err
+        assert not (tmp_path / "sharpness.csv").exists()
+
+    @pytest.mark.parametrize("experiment, bad, extra", [
+        ("comparisons", "samples=1", []),
+        ("carleson", "samples=1", []),
+        ("cp-maximal", "samples=1", []),
+        ("boundedness", "samples=0", ["N=16"]),
+        ("sharpness", "p=0", []),
+        ("angles", "p=0", ["branch=i"]),
+        ("cp-maximal", "p0=0", []),
+        ("carleson", "p0=-1", []),
+        ("offdiag", "t=-0.1", []),
+        ("offdiag", "order=-1", []),
+    ])
+    def test_out_of_range_key_is_config_error(self, experiment, bad, extra,
+                                              tmp_path, capsys):
+        argv = [experiment, "--out", str(tmp_path)]
+        for item in ("seed=1", bad, *extra):
+            argv += ["--set", item]
+        assert vericli.main(argv) == 2
+        key = bad.split("=")[0]
+        assert f"config error: {key} = " in capsys.readouterr().err
         assert not (tmp_path / f"{experiment}.csv").exists()
 
     def test_experiment_mismatch(self, tmp_path):
