@@ -65,10 +65,9 @@ _FLOAT_KEYS = (
 )
 _STR_KEYS = ("experiment", "preset", "coeff_file", "branch", "family", "out")
 _TUPLE_KEYS = ("apertures", "center", "separations", "p_list")
-# (key, lower bound, whether the bound itself is allowed)
 _LOWER_BOUNDS = (
-    ("samples", 2, True), ("p", 0, False), ("p0", 0, False),
-    ("t", 0, False), ("order", 0, True),
+    ("samples", ">=", 2), ("p", ">", 0), ("p0", ">", 0),
+    ("t", ">", 0), ("order", ">=", 0),
 )
 
 
@@ -123,11 +122,10 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for key, bound, closed in _LOWER_BOUNDS:
+        for key, op, bound in _LOWER_BOUNDS:
             value = getattr(self, key)
-            if value is None or (value >= bound if closed else value > bound):
-                continue
-            raise ConfigError(f"{key} = {value} must be {'>=' if closed else '>'} {bound}")
+            if value is not None and not (value >= bound if op == ">=" else value > bound):
+                raise ConfigError(f"{key} = {value} must be {op} {bound}")
 
     @classmethod
     def parse(cls, text="", overrides=()):
@@ -475,9 +473,12 @@ def run_carleson_suite(cfg):
     coarse_grid, grid = cfg.build_grid_pair(default_n=2)
     N = grid.N
 
-    def bracket(grid, tgrid, fam, seed):
+    def spanning(grid):
+        return TimeGrid.spanning(grid), BallFamily.dense_dyadic(grid)
+
+    def bracket(tgrid, fam, seed):
         def one(rng):
-            F = _rand_field(grid, tgrid, rng)
+            F = _rand_field(tgrid.grid, tgrid, rng)
             a = tent.carleson_functional(F, 2.0, fam).values.real
             b = tent.carleson_p0(F, 2.0, 2.0, fam).values.real
             return float((b / a).max()), float((a / b).max())
@@ -485,11 +486,9 @@ def run_carleson_suite(cfg):
         out = _map_samples(one, seed, count)
         return max(x for x, _ in out), max(y for _, y in out)
 
-    hi_coarse, lo_coarse = bracket(coarse_grid, TimeGrid.spanning(coarse_grid),
-                                   BallFamily.dense_dyadic(coarse_grid), cfg.seed + 1)
-    tgrid = TimeGrid.spanning(grid)
-    fam = BallFamily.dense_dyadic(grid)
-    hi, lo = bracket(grid, tgrid, fam, cfg.seed)
+    hi_coarse, lo_coarse = bracket(*spanning(coarse_grid), cfg.seed + 1)
+    tgrid, fam = spanning(grid)
+    hi, lo = bracket(tgrid, fam, cfg.seed)
     for name, fine, coarse in (("ratio_hi", hi, hi_coarse),
                                ("ratio_lo", lo, lo_coarse)):
         _drift_rows(table, "carleson", {"stat": name}, N, fine, coarse, cfg.drift)
