@@ -11,22 +11,28 @@ Diagonal entries differentiate with the forward difference at their own
 face; cross terms use the centered difference averaged between the two
 cells sharing the face.
 
-Functional calculus is built once per operator, in two tiers chosen from
-the structure of the assembled matrix. A Hermitian matrix gets a unitary
-diagonalization ("hermitian-eig"). Any other matrix keeps no eigenbasis
+Functional calculus is built once per operator, in three tiers chosen by
+assemble. Coefficients that are equal in every cell give a circulant
+operator, which the DFT diagonalizes exactly ("fft"): its spectrum is the
+DFT of the stencil's column 0, and no matrix is formed or factored.
+Otherwise a Hermitian matrix gets a unitary diagonalization
+("hermitian-eig"), and any other matrix keeps no eigenbasis
 ("dense-fallback"): for bounded complex coefficients L is in general not
 normal, and a diagonal calculus is only as accurate as the condition number
 of its basis allows. The semigroup families then run through dense
 expm/sqrtm evaluations of the assembled matrix itself, so L1 = 0 stays
-exact. The dense matrices are cached per operator and built once, also when
-concurrent samples ask for the same one at the same time.
+exact. The dense matrices, the stencil matrix op.matrix included, are built
+lazily, cached per operator and built once, also when concurrent samples ask
+for the same one at the same time; the fft tier builds op.matrix only when
+it is read.
 
 Every family member goes through one seam: _symbol writes the spectral
 symbols and their time components, _apply evaluates a member at every time of
 a ladder on columns, in whichever tier the operator has (or by
 subordination), and _member adds the scaled gradients and the adjoint. The
-Hermitian tier projects onto the eigenbasis once and takes all levels, time
-components included, from one matrix product with the stacked symbols; the
+two spectral tiers project onto their unitary basis once (fftn over the grid
+axes, or V^H) and take all levels, time components included, from the
+stacked symbols and one map back (ifftn, or one matrix product with V); the
 dense fallback goes level by level with the cached expm. heat, poisson,
 their gradients and EllipticOperator.ladder are thin entries to that one
 evaluator.
@@ -209,24 +215,25 @@ class BuildReport:
 
 
 class EllipticOperator:
-    """Assembled dense operator with a tiered functional calculus.
+    """Divergence-form operator with a tiered functional calculus.
 
     Use assemble() to construct. All apply methods accept a GridFunction,
     an array shaped like the grid, or a batch (B, *grid.shape), and return
     the same container. The operator is immutable after construction apart
-    from internal dense caches keyed by time, which do not change results.
+    from internal dense caches, which do not change results. matrix may be
+    None: the dense stencil matrix is then built when first read. eigs
+    without V is the spectrum in the flattened fftn order.
     """
 
     def __init__(self, grid, coeff, matrix, report, V=None, eigs=None):
         self.grid = grid
         self.coeff = coeff
-        self.matrix = matrix
         self.report = report
         self.lam = coeff.lam
         self.Lam = coeff.Lam
         self._V = V
         self._eigs = eigs
-        self._cache = {}
+        self._cache = {} if matrix is None else {"matrix": matrix}
         self._cache_lock = threading.Lock()
         self._key_locks = {}
 
@@ -258,8 +265,32 @@ class EllipticOperator:
         return cols.T.reshape(tag[1], *self.grid.shape)
 
     @property
+    def matrix(self):
+        """Dense stencil matrix (ncells, ncells), built on first read."""
+        return self._cached("matrix", lambda: _stencil_matrix(self.coeff))
+
+    @property
     def has_eigenbasis(self):
         return self._eigs is not None
+
+    def _to_spectrum(self, cols):
+        """Coefficients of columns (ncells, B) in the unitary eigenbasis, as
+        rows (B, ncells): fftn over the grid axes, or V^H cols."""
+        if self._V is None:
+            fields = cols.T.reshape(-1, *self.grid.shape)
+            return np.fft.fftn(fields, axes=self._grid_axes).reshape(cols.shape[1], -1)
+        return _adjoint_product(self._V, cols).T
+
+    def _from_spectrum(self, rows):
+        """Inverse of _to_spectrum on rows (..., ncells): ifftn, or V rows."""
+        if self._V is None:
+            fields = rows.reshape(*rows.shape[:-1], *self.grid.shape)
+            return np.fft.ifftn(fields, axes=self._grid_axes).reshape(rows.shape)
+        return (rows.reshape(-1, self.ncells) @ self._V.T).reshape(rows.shape)
+
+    @property
+    def _grid_axes(self):
+        return tuple(range(-self.grid.n, 0))
 
     def _cached(self, key, build):
         """Dense cache entry built once per key, also when several callers
@@ -325,9 +356,10 @@ class EllipticOperator:
         (len(times), ncells, B). time=True adds a leading axis of two that
         holds the member and its time component (see _symbol).
 
-        The Hermitian tier projects cols once and takes every level, time
-        components included, from one product of the basis with the stacked
-        symbols. The dense fallback goes time by time: the cached expm, then
+        The spectral tiers project cols onto their unitary basis once and
+        take every level, time components included, from the stacked symbols
+        and one map back; a circulant is normal, so the adjoint takes the
+        conjugate symbols in both. The dense fallback goes time by time: the cached expm, then
         m products with t^2 M; R for the time component starts from 2 t^2 M
         (heat) or t S (Poisson) on the same expm product and takes the same
         m products. On the subordination route the Poisson member is a
@@ -350,9 +382,8 @@ class EllipticOperator:
             phi = self._symbol(family, times[:, None], m, time)
             if adjoint:
                 phi = np.conj(phi)
-            c = _adjoint_product(self._V, cols)
-            rows = (phi[..., None, :] * c.T).reshape(-1, self.ncells) @ self._V.T
-            return rows.reshape(*phi.shape[:-1], -1, self.ncells).swapaxes(-1, -2)
+            rows = self._from_spectrum(phi[..., None, :] * self._to_spectrum(cols))
+            return rows.swapaxes(-1, -2)
 
         def mul(A, x):
             return _adjoint_product(A, x) if adjoint else A @ x
@@ -508,8 +539,8 @@ def _subordination_tail_check(K, u_max, tol, nodes):
 
 
 def _clean_spectrum(eigs):
-    # constants are annihilated exactly, but eigh returns the zero mode with
-    # O(eps ||M||) noise; its square root is O(sqrt(eps ||M||)) and would
+    # constants are annihilated exactly, but eigh and the DFT return the zero
+    # mode with O(eps ||M||) noise; its square root is O(sqrt(eps ||M||)) and would
     # leak into e^{-t sqrt(L)}, so snap roundoff-scale eigenvalues to zero
     tiny = 1e-12 * float(np.abs(eigs).max())
     out = eigs.copy()
@@ -517,18 +548,31 @@ def _clean_spectrum(eigs):
     return out
 
 
+def _stencil_matrix(coeff):
+    """Dense matrix of the stencil: column j is the image of unit field j."""
+    nc = coeff.grid.ncells
+    unit = np.eye(nc, dtype=complex).reshape(nc, *coeff.grid.shape)
+    return np.ascontiguousarray(apply_divform(coeff, unit).reshape(nc, nc).T)
+
+
 def assemble(grid, coeff):
-    """Build the dense operator and its functional-calculus cache."""
+    """Build the operator and its functional calculus; the coefficients pick
+    the tier before any matrix is built."""
     if coeff.grid != grid:
         raise ValueError("coefficient grid does not match")
     if coeff.lam <= 0:
         raise EllipticityError(
             f"ellipticity fails: min eigenvalue of sym Re A is {coeff.lam:.3e} "
             f"at cell {coeff.lam_cell}", cell=coeff.lam_cell)
-    basis = np.eye(grid.ncells, dtype=complex).reshape(grid.ncells, *grid.shape)
-    M = apply_divform(coeff, basis).reshape(grid.ncells, grid.ncells).T
-    M = np.ascontiguousarray(M)
+    cells = coeff.values.reshape(-1, grid.n, grid.n)
+    if np.all(cells == cells[0]):
+        # circulant: the DFT of the image of the unit field at cell 0
+        delta = np.zeros(grid.shape, dtype=complex)
+        delta[(0,) * grid.n] = 1.0
+        eigs = _clean_spectrum(np.fft.fftn(apply_divform(coeff, delta)).ravel())
+        return EllipticOperator(grid, coeff, None, BuildReport("fft", 1.0), eigs=eigs)
 
+    M = _stencil_matrix(coeff)
     scale = float(np.abs(M).max())
     if np.allclose(M, M.conj().T, atol=1e-12 * scale):
         eigs, V = np.linalg.eigh((M + M.conj().T) / 2)

@@ -67,7 +67,9 @@ _STR_KEYS = ("experiment", "preset", "coeff_file", "branch", "family", "out")
 _TUPLE_KEYS = ("apertures", "center", "separations", "p_list")
 _LOWER_BOUNDS = (
     ("samples", ">=", 2), ("p", ">", 0), ("p0", ">", 0),
-    ("t", ">", 0), ("order", ">=", 0),
+    ("t", ">", 0), ("order", ">=", 0), ("tol", ">", 0),
+    ("drift", ">", 0), ("margin", ">", 0), ("p_list", ">", 0),
+    ("apertures", ">", 0),
 )
 
 
@@ -124,8 +126,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, op, bound in _LOWER_BOUNDS:
             value = getattr(self, key)
-            if value is not None and not (value >= bound if op == ">=" else value > bound):
-                raise ConfigError(f"{key} = {value} must be {op} {bound}")
+            # a tuple key bounds every entry
+            entries = value if isinstance(value, tuple) else (value,)
+            if value is not None and not all(
+                    v >= bound if op == ">=" else v > bound for v in entries):
+                shown = ",".join(f"{v:g}" for v in value) if isinstance(value, tuple) else value
+                raise ConfigError(f"{key} = {shown} must be {op} {bound}")
 
     @classmethod
     def parse(cls, text="", overrides=()):

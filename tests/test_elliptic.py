@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conical_lab.grid import (
     Grid,
@@ -258,9 +259,10 @@ def test_coefficient_file_channel_mismatch(tmp_path):
 
 
 def test_build_report_tiers(lap1, pert1_8, pert1_16, cross2, scalar_complex):
-    assert lap1.report.tier == "hermitian-eig" and lap1.report.cond == 1.0
-    assert lap1.has_eigenbasis
-    for op in (pert1_8, pert1_16, cross2, scalar_complex):
+    for op in (lap1, cross2, scalar_complex):
+        assert op.report.tier == "fft" and op.report.cond == 1.0
+        assert op.has_eigenbasis
+    for op in (pert1_8, pert1_16):
         assert op.report.tier == "dense-fallback"
         assert math.isnan(op.report.cond)
         assert not op.has_eigenbasis
@@ -284,11 +286,33 @@ def test_non_hermitian_build_skips_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(el.np.linalg, "eig", refuse)
     monkeypatch.setattr(el.sla, "lu_factor", refuse)
-    for coeff in (CoefficientField.preset(Grid(1, 16), "perturbed"),
+    for coeff, tier in ((CoefficientField.preset(Grid(1, 16), "perturbed"), "dense-fallback"),
+                        (CoefficientField.constant(Grid(2, 8), CROSS_A), "fft")):
+        op = assemble(coeff.grid, coeff)
+        assert op.report.tier == tier
+        assert math.isnan(op.report.cond) == (tier == "dense-fallback")
+
+
+def test_fft_tier_factors_nothing(monkeypatch):
+    # equal coefficients in every cell give a circulant, which the DFT
+    # diagonalizes; no eigensolver runs and the matrix is built only on read
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorization of a circulant operator")
+
+    monkeypatch.setattr(el.np.linalg, "eigh", refuse)
+    monkeypatch.setattr(el.np.linalg, "eig", refuse)
+    for coeff in (CoefficientField.preset(Grid(2, 32), "laplace"),
+                  CoefficientField.constant(Grid(1, 32), np.array([[1.0 + 0.8j]]))):
+        op = assemble(coeff.grid, coeff)
+        assert op.report.tier == "fft" and op.report.cond == 1.0
+        assert "matrix" not in op._cache
+    for coeff in (CoefficientField.preset(Grid(2, 8), "laplace"),
                   CoefficientField.constant(Grid(2, 8), CROSS_A)):
         op = assemble(coeff.grid, coeff)
-        assert op.report.tier == "dense-fallback"
-        assert math.isnan(op.report.cond)
+        g = op.grid
+        stencil = np.stack([ref_divform(coeff, e.reshape(g.shape)).ravel()
+                            for e in np.eye(g.ncells)], axis=1)
+        assert np.array_equal(op.matrix, stencil)
 
 
 def test_sqrtm_residual_recorded():
@@ -460,13 +484,19 @@ def test_poisson_fourier_oracle(lap1):
         assert rel(lap1.poisson(t, K, f), want) < 1e-10, (t, K)
 
 
+@pytest.mark.parametrize("route", ["fft", "dense-fallback"])
 @pytest.mark.parametrize("fix", ["scalar_complex", "cross2"])
-def test_dense_route_fourier_oracle(fix, request):
-    # circulant but not Hermitian, so both families run through the dense
-    # expm/sqrtm route. Roundoff of size eps ||f|| in the cached matrix is
-    # amplified by the m products with tau M, hence the budget
+def test_dense_route_fourier_oracle(fix, route, request):
+    # circulant but not Hermitian. The fft tier multiplies by the stencil's
+    # DFT, so it meets a plain relative budget. The same matrix forced onto
+    # the dense expm/sqrtm route carries roundoff of size eps ||f|| in the
+    # cached matrix, amplified by the m products with tau M, hence the budget
     # C ||f|| (1 + tau ||M||_2)^m with tau = t^2
     op = request.getfixturevalue(fix)
+    assert op.report.tier == "fft"
+    if route == "dense-fallback":
+        op = el.EllipticOperator(op.grid, op.coeff, op.matrix,
+                                 el.BuildReport("dense-fallback", math.nan))
     g = op.grid
     sym = symbol_constant(g, op.coeff.values.reshape(-1, g.n, g.n)[0])
     rng = np.random.default_rng(29)
@@ -479,12 +509,50 @@ def test_dense_route_fourier_oracle(fix, request):
     for t in TimeGrid.spanning(g).levels:
         tau = t * t
         for m in (0, 1, 2):
-            budget = C * np.linalg.norm(f) * (1 + tau * norm_M) ** m
             heat = (tau * sym) ** m * np.exp(-tau * sym)
             poisson = (tau * sym) ** m * np.exp(-t * np.sqrt(sym))
             for got, s in ((op.heat(t, m, f), heat), (op.poisson(t, m, f), poisson)):
-                err = np.linalg.norm(got - np.fft.ifftn(s * fhat))
+                want = np.fft.ifftn(s * fhat)
+                if route == "fft":
+                    budget = C * np.linalg.norm(want)
+                else:
+                    budget = C * np.linalg.norm(f) * (1 + tau * norm_M) ** m
+                err = np.linalg.norm(got - want)
                 assert err <= budget, (t, m, err / budget)
+
+
+def _cosine_diagonal(grid):
+    # real diagonal a(x) = 1 + 0.4 cos(2 pi x) in the face coordinate of
+    # each axis: variable and Hermitian
+    vals = np.zeros(grid.shape + (grid.n, grid.n), dtype=complex)
+    centers = grid.cell_centers()
+    for j in range(grid.n):
+        vals[..., j, j] = 1 + 0.4 * np.cos(2 * np.pi * (centers[..., j] + grid.h / 2))
+    return CoefficientField(grid, vals)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 16), Grid(2, 8)], ids=["1d-16", "2d-8"])
+def test_hermitian_tier_dense_oracle(grid):
+    # the Hermitian eigen tier against dense expm and a sqrtm-based root of
+    # the stencil matrix, built here from the reference stencil
+    coeff = _cosine_diagonal(grid)
+    op = assemble(grid, coeff)
+    assert op.report.tier == "hermitian-eig" and op.report.cond == 1.0
+    M = np.stack([ref_divform(coeff, e.reshape(grid.shape)).ravel()
+                  for e in np.eye(grid.ncells)], axis=1)
+    # shift the zero mode to 1 so sqrtm meets no singular eigenvalue
+    J = np.full(M.shape, 1.0 / grid.ncells)
+    root = sla.sqrtm(M + J) - J
+    rng = np.random.default_rng(31)
+    f = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    for t in TimeGrid.spanning(grid).levels:
+        tau = t * t
+        want = sla.expm(-tau * M) @ f.ravel()
+        for m in (0, 1, 2):
+            assert rel(op.heat(t, m, f).ravel(), want) < 1e-10, (t, m)
+            want = tau * (M @ want)
+        poisson = sla.expm(-t * root) @ f.ravel()
+        assert rel(op.poisson(t, 0, f).ravel(), poisson) < 1e-10, t
 
 
 def test_subordination_tail_guard(lap1):

@@ -384,7 +384,7 @@ class TestDeterminism:
         monkeypatch.setenv("CONICAL_LAB_THREADS", "lots")
         grid = Grid(1, 8)
         op = assemble(grid, CoefficientField.preset(grid, "laplace"))
-        assert op.report.tier == "hermitian-eig"
+        assert op.report.tier == "fft"
 
     def test_seed_changes_results(self):
         a = vericli.run_carleson_suite(
@@ -472,6 +472,11 @@ class TestMain:
         ("carleson", "p0=-1", []),
         ("offdiag", "t=-0.1", []),
         ("offdiag", "order=-1", []),
+        ("boundedness", "p_list=0", ["N=16"]),
+        ("sharpness", "apertures=-1,2", []),
+        ("carleson", "drift=-1", ["N=16", "samples=4"]),
+        ("comparisons", "margin=-1", []),
+        ("sharpness", "tol=-0.1", []),
     ])
     def test_out_of_range_key_is_config_error(self, experiment, bad, extra,
                                               tmp_path, capsys):
