@@ -273,6 +273,10 @@ class EllipticOperator:
     def has_eigenbasis(self):
         return self._eigs is not None
 
+    @property
+    def _grid_axes(self):
+        return tuple(range(-self.grid.n, 0))
+
     def _to_spectrum(self, cols):
         """Coefficients of columns (ncells, B) in the unitary eigenbasis, as
         rows (B, ncells): fftn over the grid axes, or V^H cols."""
@@ -287,10 +291,6 @@ class EllipticOperator:
             fields = rows.reshape(*rows.shape[:-1], *self.grid.shape)
             return np.fft.ifftn(fields, axes=self._grid_axes).reshape(rows.shape)
         return (rows.reshape(-1, self.ncells) @ self._V.T).reshape(rows.shape)
-
-    @property
-    def _grid_axes(self):
-        return tuple(range(-self.grid.n, 0))
 
     def _cached(self, key, build):
         """Dense cache entry built once per key, also when several callers
@@ -359,10 +359,10 @@ class EllipticOperator:
         The spectral tiers project cols onto their unitary basis once and
         take every level, time components included, from the stacked symbols
         and one map back; a circulant is normal, so the adjoint takes the
-        conjugate symbols in both. The dense fallback goes time by time: the cached expm, then
-        m products with t^2 M; R for the time component starts from 2 t^2 M
-        (heat) or t S (Poisson) on the same expm product and takes the same
-        m products. On the subordination route the Poisson member is a
+        conjugate symbols in both. The dense fallback goes time by time: the
+        cached expm, then m products with t^2 M; R for the time component
+        starts from 2 t^2 M (heat) or t S (Poisson) on the same expm product
+        and takes the same m products. On the subordination route the Poisson member is a
         weighted sum of heat members of order m at the times
         s = t / (2 sqrt(u)), with node weight (4u)^m since t^2 L = (4u) s^2 L;
         t d/dt acts on each term as s d/ds, so the time component is the same
@@ -540,8 +540,8 @@ def _subordination_tail_check(K, u_max, tol, nodes):
 
 def _clean_spectrum(eigs):
     # constants are annihilated exactly, but eigh and the DFT return the zero
-    # mode with O(eps ||M||) noise; its square root is O(sqrt(eps ||M||)) and would
-    # leak into e^{-t sqrt(L)}, so snap roundoff-scale eigenvalues to zero
+    # mode with O(eps ||M||) noise; its square root is O(sqrt(eps ||M||)) and
+    # would leak into e^{-t sqrt(L)}, so snap roundoff-scale eigenvalues to zero
     tiny = 1e-12 * float(np.abs(eigs).max())
     out = eigs.copy()
     out[np.abs(out) <= tiny] = 0.0

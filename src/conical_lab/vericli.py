@@ -127,11 +127,9 @@ class ExperimentConfig:
         for key, op, bound in _LOWER_BOUNDS:
             value = getattr(self, key)
             # a tuple key bounds every entry
-            entries = value if isinstance(value, tuple) else (value,)
-            if value is not None and not all(
-                    v >= bound if op == ">=" else v > bound for v in entries):
-                shown = ",".join(f"{v:g}" for v in value) if isinstance(value, tuple) else value
-                raise ConfigError(f"{key} = {shown} must be {op} {bound}")
+            for v in value if isinstance(value, tuple) else (value,):
+                if v is not None and not (v >= bound if op == ">=" else v > bound):
+                    raise ConfigError(f"{key} = {v} must be {op} {bound}")
 
     @classmethod
     def parse(cls, text="", overrides=()):

@@ -76,6 +76,13 @@ def ref_divform(coeff, f):
     return out
 
 
+def ref_matrix(coeff):
+    """Dense matrix of ref_divform, one unit field per column."""
+    g = coeff.grid
+    return np.stack([ref_divform(coeff, e.reshape(g.shape)).ravel()
+                     for e in np.eye(g.ncells)], axis=1)
+
+
 def symbol_1d(grid, t, m):
     """Fourier multiplier of (t^2 L)^m e^{-t^2 L} for A = I in one dimension."""
     k = np.arange(grid.N)
@@ -308,11 +315,7 @@ def test_fft_tier_factors_nothing(monkeypatch):
         assert "matrix" not in op._cache
     for coeff in (CoefficientField.preset(Grid(2, 8), "laplace"),
                   CoefficientField.constant(Grid(2, 8), CROSS_A)):
-        op = assemble(coeff.grid, coeff)
-        g = op.grid
-        stencil = np.stack([ref_divform(coeff, e.reshape(g.shape)).ravel()
-                            for e in np.eye(g.ncells)], axis=1)
-        assert np.array_equal(op.matrix, stencil)
+        assert np.array_equal(assemble(coeff.grid, coeff).matrix, ref_matrix(coeff))
 
 
 def test_sqrtm_residual_recorded():
@@ -538,8 +541,7 @@ def test_hermitian_tier_dense_oracle(grid):
     coeff = _cosine_diagonal(grid)
     op = assemble(grid, coeff)
     assert op.report.tier == "hermitian-eig" and op.report.cond == 1.0
-    M = np.stack([ref_divform(coeff, e.reshape(grid.shape)).ravel()
-                  for e in np.eye(grid.ncells)], axis=1)
+    M = ref_matrix(coeff)
     # shift the zero mode to 1 so sqrtm meets no singular eigenvalue
     J = np.full(M.shape, 1.0 / grid.ncells)
     root = sla.sqrtm(M + J) - J
