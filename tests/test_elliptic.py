@@ -487,19 +487,12 @@ def test_poisson_fourier_oracle(lap1):
         assert rel(lap1.poisson(t, K, f), want) < 1e-10, (t, K)
 
 
-@pytest.mark.parametrize("route", ["fft", "dense-fallback"])
-@pytest.mark.parametrize("fix", ["scalar_complex", "cross2"])
-def test_dense_route_fourier_oracle(fix, route, request):
-    # circulant but not Hermitian. The fft tier multiplies by the stencil's
-    # DFT, so it meets a plain relative budget. The same matrix forced onto
-    # the dense expm/sqrtm route carries roundoff of size eps ||f|| in the
-    # cached matrix, amplified by the m products with tau M, hence the budget
+def _check_fourier_oracle(op, dense):
+    # op is circulant but not Hermitian. The fft tier multiplies by the
+    # stencil's DFT, so it meets a plain relative budget. The dense
+    # expm/sqrtm route carries roundoff of size eps ||f|| in the cached
+    # matrix, amplified by the m products with tau M, hence the budget
     # C ||f|| (1 + tau ||M||_2)^m with tau = t^2
-    op = request.getfixturevalue(fix)
-    assert op.report.tier == "fft"
-    if route == "dense-fallback":
-        op = el.EllipticOperator(op.grid, op.coeff, op.matrix,
-                                 el.BuildReport("dense-fallback", math.nan))
     g = op.grid
     sym = symbol_constant(g, op.coeff.values.reshape(-1, g.n, g.n)[0])
     rng = np.random.default_rng(29)
@@ -516,12 +509,29 @@ def test_dense_route_fourier_oracle(fix, route, request):
             poisson = (tau * sym) ** m * np.exp(-t * np.sqrt(sym))
             for got, s in ((op.heat(t, m, f), heat), (op.poisson(t, m, f), poisson)):
                 want = np.fft.ifftn(s * fhat)
-                if route == "fft":
-                    budget = C * np.linalg.norm(want)
-                else:
+                if dense:
                     budget = C * np.linalg.norm(f) * (1 + tau * norm_M) ** m
+                else:
+                    budget = C * np.linalg.norm(want)
                 err = np.linalg.norm(got - want)
                 assert err <= budget, (t, m, err / budget)
+
+
+@pytest.mark.parametrize("fix", ["scalar_complex", "cross2"])
+def test_fft_tier_fourier_oracle(fix, request):
+    op = request.getfixturevalue(fix)
+    assert op.report.tier == "fft"
+    _check_fourier_oracle(op, dense=False)
+
+
+@pytest.mark.parametrize("fix", ["scalar_complex", "cross2"])
+def test_dense_route_fourier_oracle(fix, request):
+    # the same circulant matrix forced onto the dense expm/sqrtm route
+    op = request.getfixturevalue(fix)
+    assert op.report.tier == "fft"
+    op = el.EllipticOperator(op.grid, op.coeff, op.matrix,
+                             el.BuildReport("dense-fallback", math.nan))
+    _check_fourier_oracle(op, dense=True)
 
 
 def _cosine_diagonal(grid):
