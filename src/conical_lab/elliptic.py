@@ -33,9 +33,13 @@ subordination), and _member adds the scaled gradients and the adjoint. The
 two spectral tiers project onto their unitary basis once (fftn over the grid
 axes, or V^H) and take all levels, time components included, from the
 stacked symbols and one map back (ifftn, or one matrix product with V); the
-dense fallback goes level by level with the cached expm. heat, poisson,
-their gradients and EllipticOperator.ladder are thin entries to that one
-evaluator.
+dense fallback goes level by level in ascending order with a cached
+exponential per level and family. That exponential is the square (Poisson)
+or the square of the square (heat) of the cached one an octave below when
+the ladder holds one, t to 2t within 1e-13 relative, and one dense expm
+otherwise; on TimeGrid.spanning, ratio 2^{1/3}, only the lowest three levels
+of each family call expm. heat, poisson, their gradients and
+EllipticOperator.ladder are thin entries to that one evaluator.
 
 The Poisson semigroup comes in two routes: the direct principal-branch
 calculus phi(z) = (t^2 z)^K e^{-t sqrt(z)} and the subordination rule
@@ -300,13 +304,43 @@ class EllipticOperator:
         with lock:
             hit = self._cache.get(key)
             if hit is None:
-                hit = self._cache[key] = build()
+                hit = build()
+                with self._cache_lock:
+                    self._cache[key] = hit
         return hit
 
     def _expm(self, key, tau, gen=None):
-        """Dense e^{-tau G} cached by key; G defaults to the operator matrix."""
+        """Dense e^{-tau G} cached by (key, tau); G defaults to the operator
+        matrix. key "h" is heat with tau = t^2, "p" is Poisson with tau = t.
+
+        A level one octave above a cached one (t to 2t, within 1e-13
+        relative) is built from it, not by expm: heat squares e^{-(tau/4) G}
+        twice, Poisson squares e^{-(tau/2) G} once. Every factor is a
+        contraction (the stencil is accretive), so a squaring is as stable
+        as the scaling-and-squaring step of expm itself. The squared entry
+        is e^{-tau' G} with |tau' - tau| <= 1e-13 tau, so it differs from
+        e^{-tau G} by at most about tau ||G||_2 times that key mismatch.
+        Otherwise expm runs once. _apply walks its times in ascending
+        order, so on a ladder the lower octave is cached before the level
+        built from it, and an entry's value does not depend on which
+        thread builds it.
+        """
         G = self.matrix if gen is None else gen
-        return self._cached((key, tau), lambda: sla.expm(-tau * G))
+        squarings = 2 if key == "h" else 1
+
+        def build():
+            with self._cache_lock:
+                keys = list(self._cache)
+            for other in keys:
+                if (isinstance(other, tuple) and other[0] == key
+                        and abs(other[1] * 2**squarings - tau) <= 1e-13 * tau):
+                    out = self._expm(key, other[1], gen)
+                    for _ in range(squarings):
+                        out = out @ out
+                    return out
+            return sla.expm(-tau * G)
+
+        return self._cached((key, tau), build)
 
     def _sqrt_matrix(self):
         return self._cached("sqrt", self._build_sqrt)
@@ -359,11 +393,12 @@ class EllipticOperator:
         The spectral tiers project cols onto their unitary basis once and
         take every level, time components included, from the stacked symbols
         and one map back; a circulant is normal, so the adjoint takes the
-        conjugate symbols in both. The dense fallback goes time by time: the
-        cached expm, then m products with t^2 M; R for the time component
-        starts from 2 t^2 M (heat) or t S (Poisson) on the same expm product
-        and takes the same m products. On the subordination route the Poisson member is a
-        weighted sum of heat members of order m at the times
+        conjugate symbols in both. The dense fallback goes time by time in
+        ascending order: the cached exponential (see _expm), then m products
+        with t^2 M; R for the time component starts from 2 t^2 M (heat) or
+        t S (Poisson) on the same product and takes the same m products. On
+        the subordination route the Poisson member is a weighted sum of heat
+        members of order m at the times
         s = t / (2 sqrt(u)), with node weight (4u)^m since t^2 L = (4u) s^2 L;
         t d/dt acts on each term as s d/ds, so the time component is the same
         sum of heat ones.
@@ -388,8 +423,10 @@ class EllipticOperator:
         def mul(A, x):
             return _adjoint_product(A, x) if adjoint else A @ x
 
-        members, comps = [], []
-        for t in times:
+        members, comps = [None] * times.size, [None] * times.size
+        # ascending, so a lower octave is cached before the level squared from it
+        for i in np.argsort(times, kind="stable"):
+            t = times[i]
             tau = t * t
             if family == "heat":
                 base = mul(self._expm("h", tau), cols)
@@ -402,9 +439,9 @@ class EllipticOperator:
                 base = tau * mul(self.matrix, base)
                 if time:
                     R = tau * mul(self.matrix, R)
-            members.append(base)
+            members[i] = base
             if time:
-                comps.append(2 * m * base - R)
+                comps[i] = 2 * m * base - R
         return np.stack([members, comps]) if time else np.stack(members)
 
     def heat(self, t, m, f, adjoint=False):

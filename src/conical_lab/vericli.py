@@ -69,7 +69,7 @@ _LOWER_BOUNDS = (
     ("samples", ">=", 2), ("p", ">", 0), ("p0", ">", 0),
     ("t", ">", 0), ("order", ">=", 0), ("tol", ">", 0),
     ("drift", ">", 0), ("margin", ">", 0), ("p_list", ">", 0),
-    ("apertures", ">", 0),
+    ("apertures", ">", 0), ("r", ">=", 1), ("s", ">=", 1),
 )
 
 

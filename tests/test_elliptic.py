@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -335,18 +336,16 @@ def test_sqrtm_residual_guard(monkeypatch):
         op.poisson(0.2, 0, np.ones(g.shape))
 
 
-def test_dense_caches_built_once_under_threads(monkeypatch):
-    # more threads than cores walk the same ladder on a fresh operator;
-    # every dense matrix must be computed by one of them only
-    g = Grid(1, 16)
-    op = assemble(g, CoefficientField.preset(g, "perturbed"))
-    assert op.report.tier == "dense-fallback"
-    calls = {"expm": [], "sqrtm": 0}
-    real_expm, real_sqrtm = el.sla.expm, el.sla.sqrtm
+def _count_dense_builds(monkeypatch, op):
+    """Instrument a fresh operator: every expm input, the sqrtm calls and
+    every cache key built, each call slowed to widen the window in which a
+    second build of the same entry could start."""
+    calls = {"expm": [], "sqrtm": 0, "builds": []}
+    real_expm, real_sqrtm, real_cached = el.sla.expm, el.sla.sqrtm, op._cached
 
     def expm(A):
         calls["expm"].append(A.tobytes())
-        time.sleep(0.02)  # widen the window in which a second build could start
+        time.sleep(0.02)
         return real_expm(A)
 
     def sqrtm(A):
@@ -354,22 +353,31 @@ def test_dense_caches_built_once_under_threads(monkeypatch):
         time.sleep(0.02)
         return real_sqrtm(A)
 
+    def cached(key, build):
+        def counted():
+            calls["builds"].append(key)
+            return build()
+        return real_cached(key, counted)
+
     monkeypatch.setattr(el.sla, "expm", expm)
     monkeypatch.setattr(el.sla, "sqrtm", sqrtm)
-    times = (0.05, 0.1, 0.2)
-    f = np.cos(2 * np.pi * g.cell_centers()[..., 0])
-    workers = 4
+    monkeypatch.setattr(op, "_cached", cached)
+    return calls
+
+
+def _run_workers(work, workers=4):
+    """work(slot) on more threads than cores, released together."""
     start = threading.Barrier(workers, timeout=60)
     results = [None] * workers
 
-    def work(slot):
+    def run(slot):
         start.wait()
-        results[slot] = [op.heat(t, 0, f) for t in times] + [op.poisson(t, 0, f) for t in times]
+        results[slot] = work()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
         for th in threads:
             th.start()
         for th in threads:
@@ -377,11 +385,71 @@ def test_dense_caches_built_once_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert len(calls["expm"]) == 2 * len(times)
+    return results
+
+
+def test_dense_caches_built_once_under_threads(monkeypatch):
+    # more threads than cores walk the same ladder on a fresh operator;
+    # every dense matrix must be computed by one of them only
+    g = Grid(1, 16)
+    op = assemble(g, CoefficientField.preset(g, "perturbed"))
+    assert op.report.tier == "dense-fallback"
+    calls = _count_dense_builds(monkeypatch, op)
+    times = (0.05, 0.1, 0.2)
+    f = np.cos(2 * np.pi * g.cell_centers()[..., 0])
+    results = _run_workers(
+        lambda: [op.heat(t, 0, f) for t in times] + [op.poisson(t, 0, f) for t in times])
+    # one key per heat level, Poisson level and the square root, none twice
+    assert len(calls["builds"]) == len(set(calls["builds"]))
+    assert set(calls["builds"]) == ({("h", t * t) for t in times}
+                                    | {("p", t) for t in times} | {"sqrt"})
+    # the times are an octave apart, so each family calls expm at its
+    # lowest level only and squares up from there
+    assert len(calls["expm"]) == 2
     assert len(set(calls["expm"])) == len(calls["expm"])
     assert calls["sqrtm"] == 1
     for other in results[1:]:
         for a, b in zip(results[0], other):
+            assert np.array_equal(a, b)
+
+
+def test_dense_squaring_needs_an_octave(monkeypatch):
+    # a level is squared up only from a key one octave below to 1e-13
+    # relative; a time one part in 1e6 off the octave calls expm again
+    g = Grid(1, 16)
+    f = np.cos(2 * np.pi * g.cell_centers()[..., 0])
+    for times, expm_calls in (((0.1, 0.2), 2), ((0.1, 0.2 * (1 + 1e-6)), 4)):
+        op = assemble(g, CoefficientField.preset(g, "perturbed"))
+        calls = _count_dense_builds(monkeypatch, op)
+        for family in ("heat", "poisson"):
+            op.ladder(family, 0, "none", times, f)
+        assert len(calls["expm"]) == expm_calls, times
+
+
+def test_dense_ladder_squared_the_same_under_threads(monkeypatch):
+    # threads walking the whole spanning ladder (ratio 2^{1/3}) build each
+    # level once, bitwise equal to one operator walking it alone; only the
+    # three lowest levels of each family call expm. The dense route walks
+    # times in ascending order whatever order they come in, so the lone
+    # operator may take the ladder top down
+    g = Grid(1, 16)
+    coeff = CoefficientField.preset(g, "perturbed")
+    levels = TimeGrid.spanning(g).levels
+    f = np.cos(2 * np.pi * g.cell_centers()[..., 0]) + 0.3j * g.cell_centers()[..., 0]
+
+    def walk(op, times=levels):
+        return [op.ladder(family, 2, "full", times, f) for family in ("heat", "poisson")]
+
+    alone = [out[::-1] for out in walk(assemble(g, coeff), levels[::-1])]
+    op = assemble(g, coeff)
+    calls = _count_dense_builds(monkeypatch, op)
+    results = _run_workers(lambda: walk(op))
+    assert len(calls["builds"]) == len(set(calls["builds"])) == 2 * len(levels) + 1
+    assert len(calls["expm"]) == 2 * 3
+    assert len(set(calls["expm"])) == len(calls["expm"])
+    assert calls["sqrtm"] == 1
+    for got in results:
+        for a, b in zip(got, alone):
             assert np.array_equal(a, b)
 
 
@@ -565,6 +633,41 @@ def test_hermitian_tier_dense_oracle(grid):
             want = tau * (M @ want)
         poisson = sla.expm(-t * root) @ f.ravel()
         assert rel(op.poisson(t, 0, f).ravel(), poisson) < 1e-10, t
+
+
+def test_dense_route_exact_oracle():
+    # the non-normal dense route against 30-digit arithmetic on the same
+    # matrix, taken exactly: e^{-tau M} from mpmath.expm and the Poisson
+    # root as sqrtm(M + J) - J, J the constant-mode projector. The route
+    # walks the whole spanning ladder; levels 0, 3, 6, 9 and 11 are expm
+    # roots and levels squared up from them once, twice and three times.
+    # Budget as in _check_fourier_oracle: C ||f|| (1 + tau ||M||_2)^m
+    g = Grid(1, 16)
+    op = assemble(g, CoefficientField.preset(g, "perturbed"))
+    assert op.report.tier == "dense-fallback"
+    levels = TimeGrid.spanning(g).levels
+    rng = np.random.default_rng(37)
+    f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    got = {family: [op.ladder(family, m, "none", levels, f)[:, 0] for m in (0, 1, 2)]
+           for family in ("heat", "poisson")}
+    norm_M = np.linalg.norm(op.matrix, 2)
+    C = 1e-12
+    with mpmath.workdps(30):
+        M = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in op.matrix])
+        J = mpmath.matrix([[mpmath.mpf(1) / g.ncells] * g.ncells] * g.ncells)
+        root = mpmath.sqrtm(M + J) - J
+        x = mpmath.matrix([mpmath.mpc(complex(z)) for z in f.ravel()])
+        for k in (0, 3, 6, 9, 11):
+            t = mpmath.mpf(levels[k])
+            for family, E in (("heat", mpmath.expm(-t * t * M)),
+                              ("poisson", mpmath.expm(-t * root))):
+                want = E * x
+                for m in (0, 1, 2):
+                    ref = np.array([complex(z) for z in want]).reshape(g.shape)
+                    err = np.linalg.norm(got[family][m][k] - ref)
+                    budget = C * np.linalg.norm(f) * (1 + levels[k] ** 2 * norm_M) ** m
+                    assert err <= budget, (family, k, m, err / budget)
+                    want = t * t * (M * want)
 
 
 def test_subordination_tail_guard(lap1):

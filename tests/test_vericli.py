@@ -366,6 +366,16 @@ class TestDeterminism:
         b = vericli.run_carleson_suite(cfg).to_csv(timestamp=False)
         assert a == b
 
+    def test_thread_count_does_not_change_operator_results(self, monkeypatch):
+        # the perturbed preset runs the dense route, whose cached
+        # exponentials the sample threads share
+        cfg = make("preset = perturbed\nN = 16\nsamples = 4")
+        monkeypatch.setenv("CONICAL_LAB_THREADS", "1")
+        a = vericli.run_comparisons(cfg).to_csv(timestamp=False)
+        monkeypatch.setenv("CONICAL_LAB_THREADS", "3")
+        b = vericli.run_comparisons(cfg).to_csv(timestamp=False)
+        assert a == b
+
     def test_bad_thread_count(self, monkeypatch):
         monkeypatch.setenv("CONICAL_LAB_THREADS", "lots")
         with pytest.raises(ConfigError, match="CONICAL_LAB_THREADS"):
@@ -477,6 +487,8 @@ class TestMain:
         ("carleson", "drift=-1", ["N=16", "samples=4"]),
         ("comparisons", "margin=-1", []),
         ("sharpness", "tol=-0.1", []),
+        ("angles", "r=0.5", ["branch=i"]),
+        ("angles", "s=0.5", ["branch=ii"]),
     ])
     def test_out_of_range_key_is_config_error(self, experiment, bad, extra,
                                               tmp_path, capsys):
