@@ -34,12 +34,11 @@ two spectral tiers project onto their unitary basis once (fftn over the grid
 axes, or V^H) and take all levels, time components included, from the
 stacked symbols and one map back (ifftn, or one matrix product with V); the
 dense fallback goes level by level in ascending order with a cached
-exponential per level and family. That exponential is the square (Poisson)
-or the square of the square (heat) of the cached one an octave below when
-the ladder holds one, t to 2t within 1e-13 relative, and one dense expm
-otherwise; on TimeGrid.spanning, ratio 2^{1/3}, only the lowest three levels
-of each family call expm. heat, poisson, their gradients and
-EllipticOperator.ladder are thin entries to that one evaluator.
+exponential per level and family, squared up from the one an octave below
+where the cache holds it (see EllipticOperator._expm), so on
+TimeGrid.spanning only the lowest three levels of each family call expm.
+heat, poisson, their gradients and EllipticOperator.ladder are thin entries
+to that one evaluator.
 
 The Poisson semigroup comes in two routes: the direct principal-branch
 calculus phi(z) = (t^2 z)^K e^{-t sqrt(z)} and the subordination rule
