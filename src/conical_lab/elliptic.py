@@ -22,9 +22,8 @@ normal, and a diagonal calculus is only as accurate as the condition number
 of its basis allows. The semigroup families then run through dense
 expm/sqrtm evaluations of the assembled matrix itself, so L1 = 0 stays
 exact. The dense matrices, the stencil matrix op.matrix included, are built
-lazily, cached per operator and built once, also when concurrent samples ask
-for the same one at the same time; the fft tier builds op.matrix only when
-it is read.
+lazily, cached per operator and built once; the fft tier builds op.matrix
+only when it is read.
 
 Every family member goes through one seam: _symbol writes the spectral
 symbols and their time components, _apply evaluates a member at every time of
@@ -57,7 +56,6 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 
@@ -223,9 +221,10 @@ class EllipticOperator:
     Use assemble() to construct. All apply methods accept a GridFunction,
     an array shaped like the grid, or a batch (B, *grid.shape), and return
     the same container. The operator is immutable after construction apart
-    from internal dense caches, which do not change results. matrix may be
-    None: the dense stencil matrix is then built when first read. eigs
-    without V is the spectrum in the flattened fftn order.
+    from internal dense caches, which do not change results; they are filled
+    lazily and unguarded, so an operator is not safe to share across
+    threads. matrix may be None: the dense stencil matrix is then built when
+    first read. eigs without V is the spectrum in the flattened fftn order.
     """
 
     def __init__(self, grid, coeff, matrix, report, V=None, eigs=None):
@@ -237,8 +236,6 @@ class EllipticOperator:
         self._V = V
         self._eigs = eigs
         self._cache = {} if matrix is None else {"matrix": matrix}
-        self._cache_lock = threading.Lock()
-        self._key_locks = {}
 
     # ---------------------------------------------------------- plumbing
 
@@ -254,8 +251,6 @@ class EllipticOperator:
             return arr.reshape(-1, 1), ("field",)
         if arr.ndim == self.grid.n + 1 and arr.shape[1:] == self.grid.shape:
             return arr.reshape(arr.shape[0], -1).T, ("batch", arr.shape[0])
-        if arr.ndim == 1 and arr.size == self.ncells:
-            return arr.reshape(-1, 1), ("flat",)
         raise ValueError("expected GridFunction, grid-shaped array, or batch")
 
     def _wrap(self, cols, tag):
@@ -263,8 +258,6 @@ class EllipticOperator:
             return GridFunction(self.grid, cols[:, 0].reshape(self.grid.shape))
         if tag[0] == "field":
             return cols[:, 0].reshape(self.grid.shape)
-        if tag[0] == "flat":
-            return cols[:, 0]
         return cols.T.reshape(tag[1], *self.grid.shape)
 
     @property
@@ -296,16 +289,10 @@ class EllipticOperator:
         return (rows.reshape(-1, self.ncells) @ self._V.T).reshape(rows.shape)
 
     def _cached(self, key, build):
-        """Dense cache entry built once per key, also when several callers
-        ask for it at the same time; distinct keys build in parallel."""
-        with self._cache_lock:
-            lock = self._key_locks.setdefault(key, threading.Lock())
-        with lock:
-            hit = self._cache.get(key)
-            if hit is None:
-                hit = build()
-                with self._cache_lock:
-                    self._cache[key] = hit
+        """Dense cache entry, built on the first request for its key."""
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = build()
         return hit
 
     def _expm(self, key, tau, gen=None):
@@ -321,16 +308,13 @@ class EllipticOperator:
         e^{-tau G} by at most about tau ||G||_2 times that key mismatch.
         Otherwise expm runs once. _apply walks its times in ascending
         order, so on a ladder the lower octave is cached before the level
-        built from it, and an entry's value does not depend on which
-        thread builds it.
+        built from it.
         """
         G = self.matrix if gen is None else gen
         squarings = 2 if key == "h" else 1
 
         def build():
-            with self._cache_lock:
-                keys = list(self._cache)
-            for other in keys:
+            for other in list(self._cache):
                 if (isinstance(other, tuple) and other[0] == key
                         and abs(other[1] * 2**squarings - tau) <= 1e-13 * tau):
                     out = self._expm(key, other[1], gen)
@@ -479,8 +463,6 @@ class EllipticOperator:
         if derivative == "none":
             return self._wrap(self._apply(family, (t,), int(m), cols, method, adjoint)[0], tag)
         out = self._member(family, (t,), int(m), derivative, cols, method)[0]
-        if tag[0] == "flat":
-            return out[..., 0]
         fields = out.transpose(0, 2, 1).reshape(out.shape[0], cols.shape[1], *self.grid.shape)
         return fields if tag[0] == "batch" else fields[:, 0]
 
@@ -558,14 +540,16 @@ def _genlaguerre_rule(nodes):
 def _subordination_tail_check(K, u_max, tol, nodes):
     # integrand beyond the last node bounded by (4K/e)^K u^{K-1/2} e^{-u}
     amp = 1.0 if K == 0 else (4 * K / math.e) ** K
-    tail = amp * math.gamma(K + 0.5) * float(gammaincc(K + 0.5, u_max)) / math.sqrt(math.pi)
+
+    def bound(u):
+        return amp * math.gamma(K + 0.5) * float(gammaincc(K + 0.5, u)) / math.sqrt(math.pi)
+
+    tail = bound(u_max)
     if tail > tol:
         need = nodes
         while need <= 512:
             need *= 2
-            u2, _, _ = _genlaguerre_rule(need)
-            t2 = amp * math.gamma(K + 0.5) * float(gammaincc(K + 0.5, u2[-1])) / math.sqrt(math.pi)
-            if t2 <= tol:
+            if bound(_genlaguerre_rule(need)[0][-1]) <= tol:
                 raise QuadratureError(
                     f"subordination tail {tail:.2e} above {tol:.0e} at {nodes} nodes "
                     f"for K={K}; use at least {need} nodes")

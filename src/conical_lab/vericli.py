@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -304,27 +303,11 @@ class ResultTable:
 # ------------------------------------------------------------- sampling
 
 
-def _thread_count():
-    raw = os.environ.get("CONICAL_LAB_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"CONICAL_LAB_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
 def _map_samples(fn, seed, count):
     """fn applied to count generators spawned from seed, in spawn order."""
-    # the generators are spawned before dispatch, so results are
-    # independent of scheduling
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(rng) for rng in rngs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, rngs))
+    # sample i draws from the i-th spawned generator, so its field is the
+    # same for every count
+    return [fn(np.random.default_rng(s)) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
 def _rand_field(grid, tgrid, rng):
@@ -821,7 +804,6 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        _thread_count()
         text = ""
         if args.config is not None:
             try:

@@ -7,9 +7,6 @@ from the module under test.
 """
 
 import math
-import sys
-import threading
-import time
 
 import mpmath
 import numpy as np
@@ -338,19 +335,16 @@ def test_sqrtm_residual_guard(monkeypatch):
 
 def _count_dense_builds(monkeypatch, op):
     """Instrument a fresh operator: every expm input, the sqrtm calls and
-    every cache key built, each call slowed to widen the window in which a
-    second build of the same entry could start."""
+    every cache key built."""
     calls = {"expm": [], "sqrtm": 0, "builds": []}
     real_expm, real_sqrtm, real_cached = el.sla.expm, el.sla.sqrtm, op._cached
 
     def expm(A):
         calls["expm"].append(A.tobytes())
-        time.sleep(0.02)
         return real_expm(A)
 
     def sqrtm(A):
         calls["sqrtm"] += 1
-        time.sleep(0.02)
         return real_sqrtm(A)
 
     def cached(key, build):
@@ -365,40 +359,20 @@ def _count_dense_builds(monkeypatch, op):
     return calls
 
 
-def _run_workers(work, workers=4):
-    """work() on more threads than cores, released together; their results."""
-    start = threading.Barrier(workers, timeout=60)
-    results = [None] * workers
-
-    def run(slot):
-        start.wait()
-        results[slot] = work()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    return results
-
-
-def test_dense_caches_built_once_under_threads(monkeypatch):
-    # more threads than cores walk the same ladder on a fresh operator;
-    # every dense matrix must be computed by one of them only
+def test_dense_caches_built_once(monkeypatch):
+    # every dense matrix of a fresh operator is computed once; walking the
+    # same times again builds nothing and gives the same bytes
     g = Grid(1, 16)
     op = assemble(g, CoefficientField.preset(g, "perturbed"))
     assert op.report.tier == "dense-fallback"
     calls = _count_dense_builds(monkeypatch, op)
     times = (0.05, 0.1, 0.2)
     f = np.cos(2 * np.pi * g.cell_centers()[..., 0])
-    results = _run_workers(
-        lambda: [op.heat(t, 0, f) for t in times] + [op.poisson(t, 0, f) for t in times])
+
+    def walk():
+        return [op.heat(t, 0, f) for t in times] + [op.poisson(t, 0, f) for t in times]
+
+    first = walk()
     # one key per heat level, Poisson level and the square root, none twice
     assert len(calls["builds"]) == len(set(calls["builds"]))
     assert set(calls["builds"]) == ({("h", t * t) for t in times}
@@ -408,9 +382,10 @@ def test_dense_caches_built_once_under_threads(monkeypatch):
     assert len(calls["expm"]) == 2
     assert len(set(calls["expm"])) == len(calls["expm"])
     assert calls["sqrtm"] == 1
-    for other in results[1:]:
-        for a, b in zip(results[0], other):
-            assert np.array_equal(a, b)
+    built = list(calls["builds"])
+    for a, b in zip(first, walk()):
+        assert np.array_equal(a, b)
+    assert calls["builds"] == built
 
 
 def test_dense_squaring_needs_an_octave(monkeypatch):
@@ -425,12 +400,11 @@ def test_dense_squaring_needs_an_octave(monkeypatch):
     assert len(calls["expm"]) == 4
 
 
-def test_dense_ladder_squared_the_same_under_threads(monkeypatch):
-    # threads walking the whole spanning ladder (ratio 2^{1/3}) build each
-    # level once, bitwise equal to one operator walking it alone; only the
-    # three lowest levels of each family call expm. The dense route walks
-    # times in ascending order whatever order they come in, so the lone
-    # operator may take the ladder top down
+def test_dense_ladder_squared_the_same_either_order(monkeypatch):
+    # walking the whole spanning ladder (ratio 2^{1/3}) builds each level
+    # once, and only the three lowest levels of each family call expm. The
+    # dense route walks times in ascending order whatever order they come
+    # in, so a fresh operator taking the ladder top down gives the same bytes
     g = Grid(1, 16)
     coeff = CoefficientField.preset(g, "perturbed")
     levels = TimeGrid.spanning(g).levels
@@ -439,17 +413,16 @@ def test_dense_ladder_squared_the_same_under_threads(monkeypatch):
     def walk(op, times=levels):
         return [op.ladder(family, 2, "full", times, f) for family in ("heat", "poisson")]
 
-    alone = [out[::-1] for out in walk(assemble(g, coeff), levels[::-1])]
+    top_down = [out[::-1] for out in walk(assemble(g, coeff), levels[::-1])]
     op = assemble(g, coeff)
     calls = _count_dense_builds(monkeypatch, op)
-    results = _run_workers(lambda: walk(op))
+    bottom_up = walk(op)
     assert len(calls["builds"]) == len(set(calls["builds"])) == 2 * len(levels) + 1
     assert len(calls["expm"]) == 2 * 3
     assert len(set(calls["expm"])) == len(calls["expm"])
     assert calls["sqrtm"] == 1
-    for got in results:
-        for a, b in zip(got, alone):
-            assert np.array_equal(a, b)
+    for a, b in zip(bottom_up, top_down):
+        assert np.array_equal(a, b)
 
 
 # ------------------------------------------------------------- heat family
@@ -503,7 +476,7 @@ def test_heat_input_containers(lap1):
     assert flat.shape == (g.ncells,)
 
 
-def test_heat_rejects_bad_arguments(lap1):
+def test_heat_rejects_bad_arguments(lap1, cross2):
     f = np.ones(lap1.grid.shape)
     with pytest.raises(ValueError):
         lap1.heat(0.0, 0, f)
@@ -511,6 +484,10 @@ def test_heat_rejects_bad_arguments(lap1):
         lap1.heat(0.1, -1, f)
     with pytest.raises(ValueError):
         lap1.heat(0.1, 0, np.ones(7))
+    # a flat (ncells,) vector is a field only where it is grid-shaped, in 1-D
+    assert cross2.grid.shape == (8, 8)
+    with pytest.raises(ValueError, match="grid-shaped"):
+        cross2.heat(0.1, 0, np.ones(cross2.ncells))
 
 
 # ---------------------------------------------------------- poisson family
@@ -640,7 +617,10 @@ def test_dense_route_exact_oracle():
     # root as sqrtm(M + J) - J, J the constant-mode projector. The route
     # walks the whole spanning ladder; levels 0, 3, 6, 9 and 11 are expm
     # roots and levels squared up from them once, twice and three times.
-    # Budget as in _check_fourier_oracle: C ||f|| (1 + tau ||M||_2)^m
+    # Budget as in _check_fourier_oracle: C ||f|| (1 + tau ||M||_2)^m for
+    # the member, one power more for its time component 2m (member) - R,
+    # R = 2 (t^2 M)^{m+1} e^{-t^2 M} f for heat and t root (t^2 M)^m
+    # e^{-t root} f for Poisson
     g = Grid(1, 16)
     op = assemble(g, CoefficientField.preset(g, "perturbed"))
     assert op.report.tier == "dense-fallback"
@@ -649,6 +629,8 @@ def test_dense_route_exact_oracle():
     f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     got = {family: [op.ladder(family, m, "none", levels, f)[:, 0] for m in (0, 1, 2)]
            for family in ("heat", "poisson")}
+    got_dt = {family: [op.ladder(family, m, "full", levels, f)[:, -1] for m in (0, 1, 2)]
+              for family in ("heat", "poisson")}
     norm_M = np.linalg.norm(op.matrix, 2)
     C = 1e-12
     with mpmath.workdps(30):
@@ -658,14 +640,19 @@ def test_dense_route_exact_oracle():
         x = mpmath.matrix([mpmath.mpc(complex(z)) for z in f.ravel()])
         for k in (0, 3, 6, 9, 11):
             t = mpmath.mpf(levels[k])
-            for family, E in (("heat", mpmath.expm(-t * t * M)),
-                              ("poisson", mpmath.expm(-t * root))):
+            grow = 1 + levels[k] ** 2 * norm_M
+            for family, E, G in (("heat", mpmath.expm(-t * t * M), 2 * t * t * M),
+                                 ("poisson", mpmath.expm(-t * root), t * root)):
                 want = E * x
                 for m in (0, 1, 2):
-                    ref = np.array([complex(z) for z in want]).reshape(g.shape)
-                    err = np.linalg.norm(got[family][m][k] - ref)
-                    budget = C * np.linalg.norm(f) * (1 + levels[k] ** 2 * norm_M) ** m
-                    assert err <= budget, (family, k, m, err / budget)
+                    budget = C * np.linalg.norm(f) * grow ** m
+                    for part, value, ref, bound in (
+                            ("member", got[family][m][k], want, budget),
+                            ("time", got_dt[family][m][k], 2 * m * want - G * want,
+                             budget * grow)):
+                        ref = np.array([complex(z) for z in ref]).reshape(g.shape)
+                        err = np.linalg.norm(value - ref)
+                        assert err <= bound, (family, part, k, m, err / bound)
                     want = t * t * (M * want)
 
 

@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from conical_lab import vericli
-from conical_lab.elliptic import CoefficientField, assemble
-from conical_lab.grid import Grid
 from conical_lab.vericli import ConfigError, ExperimentConfig, ResultTable
 
 
@@ -353,48 +351,16 @@ class TestComparisons:
 
 
 class TestDeterminism:
-    def test_same_seed_same_bytes(self):
-        cfg = make("N = 16\nsamples = 6\np0 = 1.2")
-        a = vericli.run_carleson_suite(cfg).to_csv(timestamp=False)
-        b = vericli.run_carleson_suite(cfg).to_csv(timestamp=False)
+    @pytest.mark.parametrize("run, text", [
+        (vericli.run_carleson_suite, "N = 16\nsamples = 6\np0 = 1.2"),
+        # the perturbed preset runs the dense route and its cached exponentials
+        (vericli.run_comparisons, "preset = perturbed\nN = 16\nsamples = 4"),
+    ], ids=["carleson", "comparisons-perturbed"])
+    def test_same_seed_same_bytes(self, run, text):
+        cfg = make(text)
+        a = run(cfg).to_csv(timestamp=False)
+        b = run(cfg).to_csv(timestamp=False)
         assert a == b
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        cfg = make("N = 16\nsamples = 6\np0 = 1.2")
-        a = vericli.run_carleson_suite(cfg).to_csv(timestamp=False)
-        monkeypatch.setenv("CONICAL_LAB_THREADS", "3")
-        b = vericli.run_carleson_suite(cfg).to_csv(timestamp=False)
-        assert a == b
-
-    def test_thread_count_does_not_change_operator_results(self, monkeypatch):
-        # the perturbed preset runs the dense route, whose cached
-        # exponentials the sample threads share
-        cfg = make("preset = perturbed\nN = 16\nsamples = 4")
-        monkeypatch.setenv("CONICAL_LAB_THREADS", "1")
-        a = vericli.run_comparisons(cfg).to_csv(timestamp=False)
-        monkeypatch.setenv("CONICAL_LAB_THREADS", "3")
-        b = vericli.run_comparisons(cfg).to_csv(timestamp=False)
-        assert a == b
-
-    def test_bad_thread_count(self, monkeypatch):
-        monkeypatch.setenv("CONICAL_LAB_THREADS", "lots")
-        with pytest.raises(ConfigError, match="CONICAL_LAB_THREADS"):
-            vericli._thread_count()
-
-    @pytest.mark.parametrize("raw", ["lots", "0", "-3"])
-    def test_main_rejects_bad_thread_count(self, raw, monkeypatch, tmp_path, capsys):
-        # offdiag runs no sample pool, so only the check at entry can catch it
-        monkeypatch.setenv("CONICAL_LAB_THREADS", raw)
-        code = vericli.main(["offdiag", "--set", "seed=1", "--out", str(tmp_path)])
-        assert code == 2
-        assert "CONICAL_LAB_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "offdiag.csv").exists()
-
-    def test_assemble_ignores_thread_count(self, monkeypatch):
-        monkeypatch.setenv("CONICAL_LAB_THREADS", "lots")
-        grid = Grid(1, 8)
-        op = assemble(grid, CoefficientField.preset(grid, "laplace"))
-        assert op.report.tier == "fft"
 
     def test_seed_changes_results(self):
         a = vericli.run_carleson_suite(
