@@ -28,11 +28,11 @@ only when it is read.
 Every family member goes through one seam: _symbol writes the spectral
 symbols and their time components, _apply evaluates a member at every time of
 a ladder on columns, in whichever tier the operator has (or by
-subordination), and _member adds the scaled gradients and the adjoint. The
-two spectral tiers project onto their unitary basis once (fftn over the grid
-axes, or V^H) and take all levels, time components included, from the
-stacked symbols and one map back (ifftn, or one matrix product with V); the
-dense fallback goes level by level in ascending order with a cached
+subordination), and _member adds the scaled gradients. The two spectral
+tiers project onto their unitary basis once (fftn over the grid axes, or
+V^H) and take all levels, time components included, from the stacked
+symbols and one map back (ifftn, or one matrix product with V); the dense
+fallback goes level by level in ascending order with a cached
 exponential per level and family, squared up from the one an octave below
 where the cache holds it (see EllipticOperator._expm), so on
 TimeGrid.spanning only the lowest three levels of each family call expm.
@@ -368,17 +368,16 @@ class EllipticOperator:
             return np.stack([phi, 2 * m * phi - (t * root) ** (2 * m + 1) * np.exp(-t * root)])
         return phi
 
-    def _apply(self, family, times, m, cols, method="direct", adjoint=False, time=False):
+    def _apply(self, family, times, m, cols, method="direct", time=False):
         """The member at every time of times, on columns (ncells, B); returns
         (len(times), ncells, B). time=True adds a leading axis of two that
         holds the member and its time component (see _symbol).
 
         The spectral tiers project cols onto their unitary basis once and
         take every level, time components included, from the stacked symbols
-        and one map back; a circulant is normal, so the adjoint takes the
-        conjugate symbols in both. The dense fallback goes time by time in
-        ascending order: the cached exponential (see _expm), then m products
-        with t^2 M; R for the time component starts from 2 t^2 M (heat) or
+        and one map back. The dense fallback goes time by time in ascending
+        order: the cached exponential (see _expm), then m products with
+        t^2 M; R for the time component starts from 2 t^2 M (heat) or
         t S (Poisson) on the same product and takes the same m products. On
         the subordination route the Poisson member is a weighted sum of heat
         members of order m at the times
@@ -393,18 +392,13 @@ class EllipticOperator:
             u, w, norm = _genlaguerre_rule(48)
             _subordination_tail_check(m, u[-1], 1e-8, 48)
             out = sum((wi * (4 * ui) ** m) * self._apply(
-                "heat", times / (2 * math.sqrt(ui)), m, cols, adjoint=adjoint, time=time)
+                "heat", times / (2 * math.sqrt(ui)), m, cols, time=time)
                 for ui, wi in zip(u, w))
             return out / norm
         if self.has_eigenbasis:
             phi = self._symbol(family, times[:, None], m, time)
-            if adjoint:
-                phi = np.conj(phi)
             rows = self._from_spectrum(phi[..., None, :] * self._to_spectrum(cols))
             return rows.swapaxes(-1, -2)
-
-        def mul(A, x):
-            return _adjoint_product(A, x) if adjoint else A @ x
 
         members, comps = [None] * times.size, [None] * times.size
         # ascending, so a lower octave is cached before the level squared from it
@@ -412,28 +406,28 @@ class EllipticOperator:
             t = times[i]
             tau = t * t
             if family == "heat":
-                base = mul(self._expm("h", tau), cols)
-                R = 2 * tau * mul(self.matrix, base) if time else None
+                base = self._expm("h", tau) @ cols
+                R = 2 * tau * (self.matrix @ base) if time else None
             else:
                 S = self._sqrt_matrix()
-                base = mul(self._expm("p", t, gen=S), cols)
-                R = t * mul(S, base) if time else None
+                base = self._expm("p", t, gen=S) @ cols
+                R = t * (S @ base) if time else None
             for _ in range(m):
-                base = tau * mul(self.matrix, base)
+                base = tau * (self.matrix @ base)
                 if time:
-                    R = tau * mul(self.matrix, R)
+                    R = tau * (self.matrix @ R)
             members[i] = base
             if time:
                 comps[i] = 2 * m * base - R
         return np.stack([members, comps]) if time else np.stack(members)
 
-    def heat(self, t, m, f, adjoint=False):
+    def heat(self, t, m, f):
         """(t^2 L)^m e^{-t^2 L} f."""
-        return self._evaluate("heat", t, m, "none", f, "direct", adjoint)
+        return self._evaluate("heat", t, m, "none", f, "direct")
 
-    def poisson(self, t, K, f, method="direct", adjoint=False):
+    def poisson(self, t, K, f, method="direct"):
         """(t sqrt(L))^{2K} e^{-t sqrt(L)} f."""
-        return self._evaluate("poisson", t, K, "none", f, method, adjoint)
+        return self._evaluate("poisson", t, K, "none", f, method)
 
     # ------------------------------------------------------------ gradients
 
@@ -455,52 +449,33 @@ class EllipticOperator:
             raise ValueError("mode must be spatial or full")
         return self._evaluate(family, t, m, mode, f, method)
 
-    def _evaluate(self, family, t, m, derivative, f, method, adjoint=False):
+    def _evaluate(self, family, t, m, derivative, f, method):
         """One member at one time on any input container: the family itself
         in f's container, a gradient as components (comps, ...)."""
         SemigroupRequest(family, t, m, derivative)
         cols, tag = self._as_columns(f)
         if derivative == "none":
-            return self._wrap(self._apply(family, (t,), int(m), cols, method, adjoint)[0], tag)
+            return self._wrap(self._apply(family, (t,), int(m), cols, method)[0], tag)
         out = self._member(family, (t,), int(m), derivative, cols, method)[0]
         fields = out.transpose(0, 2, 1).reshape(out.shape[0], cols.shape[1], *self.grid.shape)
         return fields if tag[0] == "batch" else fields[:, 0]
 
-    def _member(self, family, times, m, derivative, cols, method, adjoint=False):
+    def _member(self, family, times, m, derivative, cols, method):
         """One member, as SemigroupRequest names it, at every time of times,
         from columns (ncells, B) to components (len(times), comps, ncells, B).
-        With adjoint=True times holds one time, cols holds the components
-        (comps, ncells, B) of that time, and the adjoint maps them back to
-        columns.
 
         "spatial" is t times the forward difference along each axis, "full"
         appends the time component t d/dt (member).
         """
         n, h, shape = self.grid.n, self.grid.h, self.grid.shape
         times = np.asarray(times, dtype=float)
-
-        def apply(x, time=False):
-            return self._apply(family, times, m, x, method, adjoint, time)
-
-        B = cols.shape[-1]
-        if adjoint:
-            if derivative == "none":
-                return apply(cols[0])[0]
-            # the adjoint of the forward difference is minus the backward one
-            t = times[0]
-            x = sum((-t) * _bwd(cols[j].T.reshape(B, *shape), n, j, h).reshape(B, -1).T
-                    for j in range(n))
-            if derivative == "spatial":
-                return apply(x)[0]
-            return apply(x)[0] + apply(cols[n], time=True)[1, 0]
-
         if derivative == "full":
-            base, dt = apply(cols, time=True)
+            base, dt = self._apply(family, times, m, cols, method, time=True)
         else:
-            base = apply(cols)
+            base = self._apply(family, times, m, cols, method)
         if derivative == "none":
             return base[:, None]
-        L = times.size
+        L, B = times.size, cols.shape[-1]
         fields = base.transpose(0, 2, 1).reshape(L, B, *shape)
         tb = times.reshape(L, *([1] * (n + 1)))
         comps = [(tb * _fwd(fields, n, j, h)).reshape(L, B, -1).transpose(0, 2, 1)
@@ -629,77 +604,33 @@ class SemigroupRequest:
             raise ValueError("time must be positive")
 
 
-def _mixed_norm(comps, q, h_n):
-    # comps: (ncomp, ncells, B); pointwise l2 over components, then weighted l^q
-    mag = np.sqrt((np.abs(comps) ** 2).sum(axis=0))
-    if math.isinf(q):
-        return mag.max(axis=0)
-    return ((mag ** q).sum(axis=0) * h_n) ** (1.0 / q)
+def _member_block(op, request, cells):
+    """The member request names on the unit fields of cells: the block of
+    shape (comps * ncells, len(cells)), components stacked as row blocks."""
+    cols = np.zeros((op.ncells, len(cells)), dtype=complex)
+    cols[cells, np.arange(len(cells))] = 1.0
+    member = (request.family, (request.time,), int(request.order), request.derivative)
+    return op._member(*member, cols, "direct")[0].reshape(-1, len(cells))
 
 
-def restricted_opnorm(apply_fn, grid, E, F, p=2.0, q=2.0, adjoint_fn=None,
-                      samples=64, iters=40, seed=0, tol=1e-10):
-    """sup ||chi_F T g||_q / ||g||_p over g supported in E.
+def offdiagonal_opnorm(op, request, E, F, p=2.0):
+    """||chi_F T chi_E|| from l^p on E to the mixed norm (l2 over components,
+    l^p over cells) on F, for the member T that request names.
 
-    Random probes give the baseline; when p = q = 2 and an adjoint is
-    supplied, power iteration on (chi_E T* chi_F)(chi_F T chi_E) refines the
-    estimate to the restricted spectral norm.
+    The restricted block takes one apply on the |E| unit columns of E; its
+    rows on F go to _matrix_pnorm, which is exact at p = 2, and at p = 1
+    and p = inf for scalar members.
     """
-    E = np.asarray(E, dtype=int).ravel()
-    F = np.asarray(F, dtype=int).ravel()
+    E = np.unique(np.asarray(E, dtype=int))
+    F = np.unique(np.asarray(F, dtype=int))
     if E.size == 0 or F.size == 0:
         raise ValueError("E and F must be nonempty")
     if np.intersect1d(E, F).size:
         raise ValueError("E and F must be disjoint")
-    h_n = grid.h ** grid.n
-    rng = np.random.default_rng(seed)
-    g = np.zeros((grid.ncells, samples), dtype=complex)
-    g[E] = rng.standard_normal((E.size, samples)) + 1j * rng.standard_normal((E.size, samples))
-    out = apply_fn(g)
-    mask = np.zeros((1, grid.ncells, 1))
-    mask[0, F, 0] = 1.0
-    num = _mixed_norm(out * mask, q, h_n)
-    if math.isinf(p):
-        den = np.abs(g[E]).max(axis=0)
-    else:
-        den = ((np.abs(g[E]) ** p).sum(axis=0) * h_n) ** (1.0 / p)
-    best = float((num / den).max())
-
-    if p == 2 and q == 2 and adjoint_fn is not None:
-        x = np.zeros((grid.ncells, 1), dtype=complex)
-        x[E, 0] = rng.standard_normal(E.size) + 1j * rng.standard_normal(E.size)
-        x /= np.linalg.norm(x)
-        prev = 0.0
-        for _ in range(iters):
-            y = apply_fn(x) * mask
-            z = adjoint_fn(y)
-            znew = np.zeros_like(x)
-            znew[E] = z[E]
-            nrm = np.linalg.norm(znew)
-            if nrm == 0:
-                break
-            x = znew / nrm
-            val = math.sqrt(nrm)
-            if abs(val - prev) <= tol * max(val, 1e-300):
-                prev = val
-                break
-            prev = val
-        best = max(best, prev)
-    return best
-
-
-def offdiagonal_opnorm(op, request, E, F, p=2.0, q=2.0, samples=64, iters=40, seed=0):
-    """Restricted norm of one semigroup family member between cell sets."""
-    member = (request.family, (request.time,), int(request.order), request.derivative)
-
-    def fwd(cols):
-        return op._member(*member, cols, "direct")[0]
-
-    def adj(comps):
-        return op._member(*member, comps, "direct", adjoint=True)
-
-    return restricted_opnorm(fwd, op.grid, E, F, p=p, q=q, adjoint_fn=adj,
-                             samples=samples, iters=iters, seed=seed)
+    block = _member_block(op, request, E)
+    comps = block.shape[0] // op.ncells
+    rows = (np.arange(comps)[:, None] * op.ncells + F).ravel()
+    return _matrix_pnorm(block[rows], p, ncomp=comps)
 
 
 # ------------------------------------------------------- boundedness scans
@@ -708,9 +639,8 @@ def offdiagonal_opnorm(op, request, E, F, p=2.0, q=2.0, samples=64, iters=40, se
 def _dense_family(op, family, t, derivative="none"):
     """Dense matrix of the family member at time t (m = K = 0), or of its
     scaled spatial gradient with the n components stacked as row blocks."""
-    nc = op.ncells
-    out = op._member(family, (t,), 0, derivative, np.eye(nc, dtype=complex), "direct")
-    return out[0].reshape(-1, nc)
+    return _member_block(op, SemigroupRequest(family, t, 0, derivative),
+                         np.arange(op.ncells))
 
 
 def _matrix_pnorm(B, p, ncomp=1, starts=4, iters=30, seed=1):
@@ -727,7 +657,7 @@ def _matrix_pnorm(B, p, ncomp=1, starts=4, iters=30, seed=1):
     if p == 2:
         return float(np.linalg.norm(B, 2))
     if p <= 1 or math.isinf(p):
-        raise ValueError("vector-valued scan needs finite p > 1")
+        raise ValueError("vector-valued norm needs finite p > 1")
     pp = p / (p - 1)
     rng = np.random.default_rng(seed)
     best = 0.0

@@ -365,8 +365,8 @@ def run_sharpness(cfg):
         raise ConfigError(f"theta = {cfg.theta} must stay below n = {n}")
     p = cfg.p
     alphas = cfg.apertures if cfg.apertures is not None else (1.0, 2.0, 4.0, 8.0, 16.0)
-    if len(alphas) < 2:
-        raise ConfigError("need at least two apertures to fit a slope")
+    if len(set(alphas)) < 2:
+        raise ConfigError("need at least two apertures that differ to fit a slope")
     table = ResultTable()
     vals = []
     for alpha in alphas:
@@ -394,7 +394,9 @@ def run_change_of_angle(cfg):
     tgrid = cfg.build_tgrid(grid)
     weight = cfg.build_weight(grid)
     p = cfg.p
-    alphas = sorted(cfg.apertures if cfg.apertures is not None else (0.25, 0.5, 1.0))
+    alphas = sorted(set(cfg.apertures if cfg.apertures is not None else (0.25, 0.5, 1.0)))
+    if len(alphas) < 2:
+        raise ConfigError("need at least two apertures that differ to compare")
     top = max(tgrid.levels)
     if max(alphas) * top > 0.5 + 1e-12:
         raise ConfigError(
@@ -593,12 +595,16 @@ def run_offdiagonal(cfg):
     seps = cfg.separations if cfg.separations is not None else (
         0.12, 0.18, 0.24, 0.30, 0.36, 0.42)
     radius = cfg.radius
-    if min(seps) <= 2 * radius:
-        raise ConfigError(
-            f"separation {min(seps)} does not keep sets of radius {radius} disjoint"
-        )
-    if len(seps) < 3:
-        raise ConfigError("need at least three separations to compare models")
+    for d in seps:
+        # beyond 1/2 the torus distance wraps back below d
+        if not 2 * radius < d <= 0.5:
+            raise ConfigError(
+                f"separation {d} is outside (2 radius, 1/2] = ({2 * radius:g}, 0.5]: "
+                f"sets of radius {radius} would not be disjoint, or their distance "
+                "would wrap the torus"
+            )
+    if len(set(seps)) < 3:
+        raise ConfigError("need at least three separations that differ to compare models")
     pts = grid.cell_centers().reshape(-1, grid.n)
     anchor = np.full(grid.n, 0.25)
 
@@ -626,7 +632,7 @@ def run_offdiagonal(cfg):
     for label, req in requests.items():
         vals = []
         for d, F in zip(seps, Fs):
-            v = offdiagonal_opnorm(op, req, E, F, seed=cfg.seed)
+            v = offdiagonal_opnorm(op, req, E, F)
             vals.append(v)
             table.info("offdiag", {"family": label, "order": order,
                                    "d": d, "t": t}, v)

@@ -466,6 +466,25 @@ class TestMain:
         assert f"config error: {key} = " in capsys.readouterr().err
         assert not (tmp_path / f"{experiment}.csv").exists()
 
+    @pytest.mark.parametrize("experiment, items, message", [
+        ("offdiag", ["separations=0.12,0.18,0.98"], "separation 0.98 is outside"),
+        ("offdiag", ["radius=0.3", "separations=0.7,0.8,0.9"], "separation 0.7 is outside"),
+        ("offdiag", ["separations=0.12,0.12,0.12"], "three separations that differ"),
+        ("offdiag", ["separations=0.12,0.18,1.24"], "separation 1.24 is outside"),
+        ("angles", ["branch=i", "apertures=0.25"], "two apertures that differ"),
+        ("sharpness", ["apertures=2,2"], "two apertures that differ"),
+    ])
+    def test_degenerate_geometry_is_config_error(self, experiment, items, message,
+                                                 tmp_path, capsys):
+        # separations that wrap the torus or repeat, and a lone aperture,
+        # leave nothing to compare
+        argv = [experiment, "--out", str(tmp_path)]
+        for item in ("seed=1", *items):
+            argv += ["--set", item]
+        assert vericli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}.csv").exists()
+
     def test_experiment_mismatch(self, tmp_path):
         path = tmp_path / "m.cfg"
         path.write_text("seed = 1\nexperiment = angles\n")
