@@ -36,6 +36,14 @@ fallback goes level by level in ascending order with a cached
 exponential per level and family, squared up from the one an octave below
 where the cache holds it (see EllipticOperator._expm), so on
 TimeGrid.spanning only the lowest three levels of each family call expm.
+A level with no octave below is a root: expm of -tau G / 2^s, with s the
+least integer >= 0 that brings its 1-norm to theta_13 = 5.37 (Al-Mohy and
+Higham, 2009) or below, squared s times. Every squaring, of a root or up an
+octave, runs in _squared, which flushes each real and imaginary part below
+sqrt(tiny) ~ 1.5e-154 in magnitude to zero. The heat kernel's far entries
+would otherwise pass through the subnormal range, where gradual underflow
+makes a 512^2 product take 0.17-0.35 s in place of 0.02 s; the flush moves
+each entry, of size at most about 1, by less than 1.5e-154.
 heat, poisson, their gradients and EllipticOperator.ladder are thin entries
 to that one evaluator.
 
@@ -300,15 +308,20 @@ class EllipticOperator:
         matrix. key "h" is heat with tau = t^2, "p" is Poisson with tau = t.
 
         A level one octave above a cached one (t to 2t, within 1e-13
-        relative) is built from it, not by expm: heat squares e^{-(tau/4) G}
-        twice, Poisson squares e^{-(tau/2) G} once. Every factor is a
-        contraction (the stencil is accretive), so a squaring is as stable
-        as the scaling-and-squaring step of expm itself. The squared entry
-        is e^{-tau' G} with |tau' - tau| <= 1e-13 tau, so it differs from
+        relative) is built from it: heat squares e^{-(tau/4) G} twice,
+        Poisson squares e^{-(tau/2) G} once. Every factor is a contraction
+        (the stencil is accretive), so a squaring is as stable as the
+        scaling-and-squaring step of expm itself. The squared entry is
+        e^{-tau' G} with |tau' - tau| <= 1e-13 tau, so it differs from
         e^{-tau G} by at most about tau ||G||_2 times that key mismatch.
-        Otherwise expm runs once. _apply walks its times in ascending
-        order, so on a ladder the lower octave is cached before the level
-        built from it.
+        _apply walks its times in ascending order, so on a ladder the lower
+        octave is cached before the level built from it.
+
+        Otherwise the root is expm of -tau G / 2^s, with s >= 0 the least
+        integer that brings the 1-norm to _THETA13 or below, so the Pade 13
+        approximant needs no squaring of its own; it is then squared s
+        times. Both chains square in _squared, which keeps every stored
+        part out of gradual underflow.
         """
         G = self.matrix if gen is None else gen
         squarings = 2 if key == "h" else 1
@@ -317,11 +330,14 @@ class EllipticOperator:
             for other in list(self._cache):
                 if (isinstance(other, tuple) and other[0] == key
                         and abs(other[1] * 2**squarings - tau) <= 1e-13 * tau):
-                    out = self._expm(key, other[1], gen)
-                    for _ in range(squarings):
-                        out = out @ out
-                    return out
-            return sla.expm(-tau * G)
+                    return _squared(self._expm(key, other[1], gen), squarings)
+            A = -tau * G
+            norm = float(np.linalg.norm(A, 1))
+            s = 0
+            while norm > _THETA13 * 2.0**s:
+                s += 1
+            A *= 0.5**s
+            return _squared(sla.expm(A), s)
 
         return self._cached((key, tau), build)
 
@@ -506,6 +522,33 @@ class EllipticOperator:
         return out[..., 0].reshape(times.size, -1, *self.grid.shape)
 
 
+# Al-Mohy & Higham (2009): the largest 1-norm at which the Pade 13
+# approximant needs no scaling
+_THETA13 = 5.371920351148152
+# below sqrt(tiny) in magnitude, a product of two parts can underflow
+_FLUSH = math.sqrt(np.finfo(float).tiny)
+
+
+def _squared(E, count):
+    """E squared count times. E and every product are flushed in place: a
+    real or imaginary part below _FLUSH (about 1.5e-154) in magnitude is set
+    to 0, so no product of two stored parts is subnormal and the matrix
+    products never run in gradual underflow, which stalls BLAS. The entries
+    are contractions, of size at most about 1, so each flushed part moves by
+    less than 1.5e-154, far below one ulp of them."""
+    _flush(E)
+    for _ in range(count):
+        E = E @ E
+        _flush(E)
+    return E
+
+
+def _flush(E):
+    for part in (E.real, E.imag):
+        mag = np.abs(part)
+        part[(mag < _FLUSH) & (mag > 0)] = 0.0
+
+
 @lru_cache(maxsize=8)
 def _genlaguerre_rule(nodes):
     u, w = roots_genlaguerre(nodes, -0.5)
@@ -619,7 +662,7 @@ def offdiagonal_opnorm(op, request, E, F, p=2.0):
 
     The restricted block takes one apply on the |E| unit columns of E; its
     rows on F go to _matrix_pnorm, which is exact at p = 2, and at p = 1
-    and p = inf for scalar members.
+    and p = inf for scalar members, and raises ValueError at any other p.
     """
     E = np.unique(np.asarray(E, dtype=int))
     F = np.unique(np.asarray(F, dtype=int))
@@ -633,89 +676,14 @@ def offdiagonal_opnorm(op, request, E, F, p=2.0):
     return _matrix_pnorm(block[rows], p, ncomp=comps)
 
 
-# ------------------------------------------------------- boundedness scans
-
-
-def _dense_family(op, family, t, derivative="none"):
-    """Dense matrix of the family member at time t (m = K = 0), or of its
-    scaled spatial gradient with the n components stacked as row blocks."""
-    return _member_block(op, SemigroupRequest(family, t, 0, derivative),
-                         np.arange(op.ncells))
-
-
-def _matrix_pnorm(B, p, ncomp=1, starts=4, iters=30, seed=1):
+def _matrix_pnorm(B, p, ncomp=1):
     """Operator norm from l^p to the mixed (l2 over ncomp blocks, l^p over
-    cells) norm; exact at the endpoints for scalar output, power method of
-    Boyd type otherwise. Uniform cell weights cancel, so plain vector norms
-    suffice."""
-    ncells = B.shape[1]
-    if ncomp == 1:
-        if p == 1:
-            return float(np.abs(B).sum(axis=0).max())
-        if math.isinf(p):
-            return float(np.abs(B).sum(axis=1).max())
+    cells) norm, in its exact cases: p = 2, and p = 1 or inf for scalar
+    output. Uniform cell weights cancel, so plain vector norms suffice."""
     if p == 2:
         return float(np.linalg.norm(B, 2))
-    if p <= 1 or math.isinf(p):
-        raise ValueError("vector-valued norm needs finite p > 1")
-    pp = p / (p - 1)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(starts):
-        x = rng.standard_normal(ncells) + 1j * rng.standard_normal(ncells)
-        x /= np.linalg.norm(x, p)
-        for _ in range(iters):
-            y = (B @ x).reshape(ncomp, -1)
-            rho = np.sqrt((np.abs(y) ** 2).sum(axis=0))
-            val = float(np.linalg.norm(rho, p))
-            best = max(best, val)
-            if val == 0:
-                break
-            z = (y * (rho ** (p - 2))[None, :]).ravel()
-            wvec = B.conj().T @ z
-            aw = np.abs(wvec)
-            x = np.where(aw > 0, wvec / aw, 0) * aw ** (pp - 1)
-            nx = np.linalg.norm(x, p)
-            if nx == 0:
-                break
-            x /= nx
-    return best
-
-
-@dataclass
-class ScanRow:
-    p: float
-    sup_norm: float
-    sup_norm_coarse: float | None
-    grows: bool | None
-
-
-def uniform_boundedness_scan(op, family, p_list, t_list, coarse_op=None,
-                             growth_ratio=1.5):
-    """sup_t of the estimated p -> p norm for the heat family or its spatial
-    gradient; with a coarse companion operator, flags exponents whose sup
-    grows under refinement by more than growth_ratio."""
-    if family not in ("heat", "heat-gradient"):
-        raise ValueError("family must be heat or heat-gradient")
-    if not p_list or not t_list:
-        raise ValueError("empty scan lists")
-
-    def sup_for(o):
-        mats = []
-        for t in t_list:
-            if family == "heat":
-                mats.append((_dense_family(o, "heat", t), 1))
-            else:
-                mats.append((_dense_family(o, "heat", t, "spatial"), o.grid.n))
-        sups = []
-        for p in p_list:
-            sups.append(max(_matrix_pnorm(B, p, ncomp=c) for B, c in mats))
-        return sups
-
-    fine = sup_for(op)
-    coarse = sup_for(coarse_op) if coarse_op is not None else [None] * len(p_list)
-    rows = []
-    for p, sf, sc in zip(p_list, fine, coarse):
-        grows = None if sc is None else bool(sf > growth_ratio * sc)
-        rows.append(ScanRow(float(p), float(sf), sc if sc is None else float(sc), grows))
-    return rows
+    if ncomp == 1 and p == 1:
+        return float(np.abs(B).sum(axis=0).max())
+    if ncomp == 1 and math.isinf(p):
+        return float(np.abs(B).sum(axis=1).max())
+    raise ValueError("exact norms only at p = 2, or p = 1 or inf for scalar members")

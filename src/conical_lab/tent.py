@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.ndimage import minimum_filter
 
 from .grid import GridFunction, ball_kernel, ball_max, ball_sum
@@ -156,6 +155,9 @@ def cone_profile_on_indicator(rho, alpha, n):
     cuts = sorted({(rho - 0.25) / alpha, (rho + 0.25) / alpha,
                    (0.25 - rho) / alpha})
     pts = [c for c in cuts if 0.5 < c < 1.0]
+    # imported here: at the top, scipy.integrate adds ~0.2 s, 19 MB to a CLI start
+    from scipy.integrate import quad
+
     val, _ = quad(lambda t: vol(rho, alpha * t, 0.25) * t ** (-n - 1),
                   0.5, 1.0, points=pts or None, limit=100)
     return val
@@ -179,6 +181,9 @@ def continuous_cone_on_indicator(alpha, p, theta, n):
     cand = {0.25, 0.25 + alpha / 2, 0.25 + alpha,
             abs(alpha / 2 - 0.25), abs(alpha - 0.25)}
     upts = sorted(c ** m for c in cand if 0 < c < R)
+    # imported here: at the top, scipy.integrate adds ~0.2 s, 19 MB to a CLI start
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda u: cone_profile_on_indicator(u ** (1.0 / m), alpha, n) ** (p / 2),
         0.0, R ** m, points=upts or None, limit=200)
