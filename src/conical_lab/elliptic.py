@@ -544,9 +544,9 @@ def _squared(E, count):
 
 
 def _flush(E):
-    for part in (E.real, E.imag):
-        mag = np.abs(part)
-        part[(mag < _FLUSH) & (mag > 0)] = 0.0
+    parts = E.view(np.float64)  # real and imaginary parts, interleaved
+    mag = np.abs(parts)
+    parts[(mag < _FLUSH) & (mag > 0)] = 0.0
 
 
 @lru_cache(maxsize=8)
