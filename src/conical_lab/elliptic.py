@@ -31,7 +31,9 @@ a ladder on columns, in whichever tier the operator has (or by
 subordination), and _member adds the scaled gradients. The two spectral
 tiers project onto their unitary basis once (fftn over the grid axes, or
 V^H) and take all levels, time components included, from the stacked
-symbols and one map back (ifftn, or one matrix product with V); the dense
+symbols and one map back (ifftn, or one matrix product with V); a ladder's
+stacked symbols are built once per operator, in the cache that holds the
+dense entries, so every later field on the same ladder reuses them. The dense
 fallback goes level by level in ascending order with a cached
 exponential per level and family, squared up from the one an octave below
 where the cache holds it (see EllipticOperator._expm), so on
@@ -229,7 +231,8 @@ class EllipticOperator:
     Use assemble() to construct. All apply methods accept a GridFunction,
     an array shaped like the grid, or a batch (B, *grid.shape), and return
     the same container. The operator is immutable after construction apart
-    from internal dense caches, which do not change results; they are filled
+    from internal caches (dense matrices, a ladder's stacked symbols), which
+    do not change results; they are filled
     lazily and unguarded, so an operator is not safe to share across
     threads. matrix may be None: the dense stencil matrix is then built when
     first read. eigs without V is the spectrum in the flattened fftn order.
@@ -297,7 +300,8 @@ class EllipticOperator:
         return (rows.reshape(-1, self.ncells) @ self._V.T).reshape(rows.shape)
 
     def _cached(self, key, build):
-        """Dense cache entry, built on the first request for its key."""
+        """Cache entry, built on the first request for its key: a dense
+        matrix, or the stacked symbols of one ladder and member."""
         hit = self._cache.get(key)
         if hit is None:
             hit = self._cache[key] = build()
@@ -374,15 +378,14 @@ class EllipticOperator:
         lam = self._eigs
         tau = t * t
         if family == "heat":
-            phi = (tau * lam) ** m * np.exp(-tau * lam)
-            if time:
-                return np.stack([phi, 2 * m * phi - 2 * self._symbol("heat", t, m + 1)])
-            return phi
-        root = np.sqrt(lam)  # principal branch, Re >= 0
-        phi = (tau * lam) ** m * np.exp(-t * root)
-        if time:
-            return np.stack([phi, 2 * m * phi - (t * root) ** (2 * m + 1) * np.exp(-t * root)])
-        return phi
+            decay = np.exp(-tau * lam)
+            rest = 2 * ((tau * lam) ** (m + 1) * decay) if time else None
+        else:
+            root = np.sqrt(lam)  # principal branch, Re >= 0
+            decay = np.exp(-t * root)
+            rest = (t * root) ** (2 * m + 1) * decay if time else None
+        phi = (tau * lam) ** m * decay
+        return np.stack([phi, 2 * m * phi - rest]) if time else phi
 
     def _apply(self, family, times, m, cols, method="direct", time=False):
         """The member at every time of times, on columns (ncells, B); returns
@@ -391,7 +394,7 @@ class EllipticOperator:
 
         The spectral tiers project cols onto their unitary basis once and
         take every level, time components included, from the stacked symbols
-        and one map back. The dense fallback goes time by time in ascending
+        (built once per ladder and member, then cached) and one map back. The dense fallback goes time by time in ascending
         order: the cached exponential (see _expm), then m products with
         t^2 M; R for the time component starts from 2 t^2 M (heat) or
         t S (Poisson) on the same product and takes the same m products. On
@@ -412,7 +415,8 @@ class EllipticOperator:
                 for ui, wi in zip(u, w))
             return out / norm
         if self.has_eigenbasis:
-            phi = self._symbol(family, times[:, None], m, time)
+            phi = self._cached(("symbol", family, times.tobytes(), m, time),
+                               lambda: self._symbol(family, times[:, None], m, time))
             rows = self._from_spectrum(phi[..., None, :] * self._to_spectrum(cols))
             return rows.swapaxes(-1, -2)
 

@@ -260,16 +260,26 @@ def ball_kernel_fft(n, N, radius):
 def ball_sum(field, radius):
     """Sum of a real cell field over the ball around every cell center.
 
-    Exact up to FFT roundoff; clipped below at the true minimum of 0 when the
-    input is nonnegative.
+    radius may also be a nonempty sequence: field then stacks one cell field
+    per radius along a leading axis of the same length, and the stack takes
+    one batched rfftn, one product with the stacked kernel FFTs and one
+    irfftn. Exact up to FFT roundoff; a field (or slice) that is nonnegative
+    is clipped below at its true minimum of 0. Slice k of a stacked call
+    equals ball_sum(field[k], radius[k]) bit for bit.
     """
-    n = field.ndim
-    N = field.shape[0]
-    kf, _ = ball_kernel_fft(n, N, radius)
-    axes = tuple(range(field.ndim))
-    out = np.fft.irfftn(np.fft.rfftn(field) * kf, s=field.shape, axes=axes)
-    if np.all(field >= 0):
-        np.maximum(out, 0.0, out=out)
+    lead = np.ndim(radius)  # 1 for a stack, 0 for a single field
+    shape = field.shape[lead:]
+    n, N = len(shape), shape[0]
+    if lead:
+        if len(radius) != field.shape[0]:
+            raise ValueError(f"{len(radius)} radii for a stack of {field.shape[0]} fields")
+        kf = np.stack([ball_kernel_fft(n, N, r)[0] for r in radius])
+    else:
+        kf, _ = ball_kernel_fft(n, N, radius)
+    axes = tuple(range(lead, field.ndim))
+    out = np.fft.irfftn(np.fft.rfftn(field, axes=axes) * kf, s=shape, axes=axes)
+    nonneg = np.all(field >= 0, axis=axes)
+    np.maximum(out, 0.0, out=out, where=nonneg.reshape(nonneg.shape + (1,) * n))
     return out
 
 

@@ -66,16 +66,23 @@ def cone_functional(F, params):
         raise ValueError(
             f"aperture {alpha} * top level {t_top} exceeds 1/2; "
             "cone cross-sections would wrap around the torus")
+    times = [tg.levels[k] for k in idx]
+    levels = ball_sum(np.abs(F.values[idx]) ** q, [min(alpha * t, 0.5) for t in times])
     acc = np.zeros(grid.shape)
-    for k in idx:
-        t = tg.levels[k]
-        radius = min(alpha * t, 0.5)
-        level = ball_sum(np.abs(F.values[k]) ** q, radius)
+    for t, level in zip(times, levels):
         acc += (tg.dlog * (grid.h / t) ** grid.n) * level
     return GridFunction(grid, acc ** (1.0 / q))
 
 
 # --------------------------------------------------------- Carleson boxes
+
+
+def _box_radii(tgrid, family):
+    """The family radii r with a level t_k <= r, and for each the index of
+    its last such level: the levels under a box form a prefix of the ladder."""
+    ends = np.searchsorted(np.asarray(tgrid.levels), family.radii, side="right") - 1
+    keep = ends >= 0
+    return [r for r, hit in zip(family.radii, keep) if hit], ends[keep]
 
 
 def carleson_functional(F, q, family):
@@ -86,17 +93,13 @@ def carleson_functional(F, q, family):
     grid, tg = F.grid, F.tgrid
     if family.grid != grid:
         raise ValueError("family grid does not match the field")
-    # the levels with t_k <= r are a prefix of the ladder
     prefix = np.cumsum(np.abs(F.values) ** q, axis=0)
-    times = np.asarray(tg.levels)
     out = np.zeros(grid.shape)
-    for r in family.radii:
-        j = int(np.searchsorted(times, r, side="right"))
-        if j == 0:
-            continue
-        _, cnt = ball_kernel(grid.n, grid.N, r)
-        total = ball_sum(prefix[j - 1], r)
-        np.maximum(out, ball_max((tg.dlog / cnt) * total, r), out=out)
+    radii, ends = _box_radii(tg, family)
+    if radii:
+        for r, total in zip(radii, ball_sum(prefix[ends], radii)):
+            _, cnt = ball_kernel(grid.n, grid.N, r)
+            np.maximum(out, ball_max((tg.dlog / cnt) * total, r), out=out)
     return GridFunction(grid, out ** (1.0 / q))
 
 
@@ -110,19 +113,15 @@ def carleson_p0(F, q, p0, family):
     grid, tg = F.grid, F.tgrid
     if family.grid != grid:
         raise ValueError("family grid does not match the field")
-    powed = np.abs(F.values) ** q
-    terms = [tg.dlog * (grid.h / t) ** grid.n * ball_sum(powed[k], min(t, 0.5))
-             for k, t in enumerate(tg.levels)]
+    sums = ball_sum(np.abs(F.values) ** q, [min(t, 0.5) for t in tg.levels])
+    terms = [tg.dlog * (grid.h / t) ** grid.n * s for t, s in zip(tg.levels, sums)]
     prefix = np.cumsum(np.stack(terms), axis=0)
-    times = np.asarray(tg.levels)
     out = np.zeros(grid.shape)
-    for r in family.radii:
-        j = int(np.searchsorted(times, r, side="right"))
-        if j == 0:
-            continue
-        _, cnt = ball_kernel(grid.n, grid.N, r)
-        avg = ball_sum(prefix[j - 1] ** (p0 / q), r) / cnt
-        np.maximum(out, ball_max(avg, r), out=out)
+    radii, ends = _box_radii(tg, family)
+    if radii:
+        for r, total in zip(radii, ball_sum(prefix[ends] ** (p0 / q), radii)):
+            _, cnt = ball_kernel(grid.n, grid.N, r)
+            np.maximum(out, ball_max(total / cnt, r), out=out)
     return GridFunction(grid, out ** (1.0 / p0))
 
 

@@ -740,23 +740,25 @@ def run_comparisons(cfg):
     count = cfg.count(20)
     r_w, s_w = power_weight_exponents(cfg.theta, grid.n)
     table = ResultTable()
-    for label, (top_fam, top_ord), (bot_fam, bot_ord), kind in _COMPARISON_PAIRS:
-        top = squarefn.SquareFunctionSpec(top_fam, order=top_ord)
-        bottom = squarefn.SquareFunctionSpec(bot_fam, order=bot_ord)
+    # every pair compares on the same seeded fields, so each distinct square
+    # function is evaluated once per field and the ratios share its norm
+    specs = {key: squarefn.SquareFunctionSpec(*key)
+             for _, top, bottom, _ in _COMPARISON_PAIRS for key in (top, bottom)}
 
-        def one(rng, top=top, bottom=bottom):
-            f = _rand_gf(grid, rng)
-            return (lp_norm_weighted(squarefn.evaluate(op, top, f), weight.values, p)
-                    / lp_norm_weighted(squarefn.evaluate(op, bottom, f),
-                                       weight.values, p))
+    def norms(rng):
+        f = _rand_gf(grid, rng)
+        return {key: lp_norm_weighted(squarefn.evaluate(op, spec, f), weight.values, p)
+                for key, spec in specs.items()}
 
-        ratios = _map_samples(one, cfg.seed, count)
+    samples = _map_samples(norms, cfg.seed, count)
+    for label, top, bottom, kind in _COMPARISON_PAIRS:
+        ratios = [norm[top] / norm[bottom] for norm in samples]
         params = {"pair": label, "p": p, "theta": cfg.theta, "N": grid.N}
         if cfg.identity:
             # identity coefficients: lower exponent 1, upper infinite, and
             # the Poisson star exponent stays infinite at every K
             if kind == "poisson":
-                upper = p_plus_Kstar(math.inf, top_ord, grid.n)
+                upper = p_plus_Kstar(math.inf, top[1], grid.n)
             else:
                 upper = math.inf
             lo, hi = admissible_interval(1.0, upper, r_w, s_w)

@@ -3,6 +3,7 @@
 Constants are computed as maxima over the balls of a BallFamily (every cell
 center with every listed radius), one radius at a time: FFT ball sums give
 the averages at every center at once, and ball maxima give the extremes.
+hl_maximal takes the sums of all its radii in one stacked ball_sum call.
 
     A_p:  (avg_B w) * (avg_B w^{1-p'})^{p-1}        p' = p/(p-1), p > 1
     A_1:  (avg_B w) / (min_B w)
@@ -324,9 +325,11 @@ def hl_maximal(f, p0, family, centered=False):
     grid = family.grid
     if vals.shape != grid.shape:
         raise ValueError("family grid does not match the field")
+    radii = family.radii
+    sums = ball_sum(np.broadcast_to(vals, (len(radii), *vals.shape)), radii)
     out = np.zeros(grid.shape)
-    for r in family.radii:
+    for r, total in zip(radii, sums):
         _, cnt = ball_kernel(grid.n, grid.N, r)
-        avg = ball_sum(vals, r) / cnt
+        avg = total / cnt
         np.maximum(out, avg if centered else ball_max(avg, r), out=out)
     return out ** (1.0 / p0)

@@ -893,6 +893,49 @@ def test_ladder_subordination_route(lap1):
         assert np.array_equal(got[k], want)
 
 
+@pytest.mark.parametrize("build", [
+    lambda g: CoefficientField.preset(g, "laplace"),
+    _cosine_diagonal,
+], ids=["fft", "hermitian-eig"])
+def test_spectral_symbols_built_once_per_ladder(monkeypatch, build):
+    g = Grid(2, 8)
+    coeff = build(g)
+    op = assemble(g, coeff)
+    assert op.has_eigenbasis
+    builds = []
+    real_symbol = el.EllipticOperator._symbol
+
+    def symbol(self, family, t, m, time=False):
+        if self is op:
+            builds.append((family, np.asarray(t).tobytes(), m, time))
+        return real_symbol(self, family, t, m, time)
+
+    monkeypatch.setattr(el.EllipticOperator, "_symbol", symbol)
+    levels = TimeGrid.spanning(g).levels
+    members = [
+        # family, order, derivative, levels, method
+        ("heat", 1, "none", levels, "direct"),
+        ("heat", 0, "spatial", levels, "direct"),
+        ("heat", 0, "full", levels, "direct"),
+        ("heat", 1, "none", levels[1:], "direct"),
+        ("poisson", 1, "none", levels, "direct"),
+        ("poisson", 0, "full", levels, "direct"),
+        # one heat ladder of order 1 per subordination node
+        ("poisson", 1, "none", levels, "subordination"),
+    ]
+    distinct = 6 + 48
+    rng = np.random.default_rng(37)
+    for i in range(4):
+        f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        for family, order, derivative, ladder, method in members:
+            got = op.ladder(family, order, derivative, ladder, f, method=method)
+            fresh = assemble(g, coeff).ladder(family, order, derivative, ladder, f,
+                                              method=method)
+            assert got.tobytes() == fresh.tobytes(), (i, family, order, derivative)
+        assert len(builds) == distinct, i
+    assert len(set(builds)) == distinct
+
+
 def test_ladder_validation(lap1):
     f = np.ones(lap1.grid.shape)
     with pytest.raises(ValueError, match="family"):

@@ -176,6 +176,29 @@ def test_ball_sum_and_max_against_bruteforce():
             assert np.array_equal(ball_max(field, radius).ravel(), want_max)
 
 
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 16)])
+def test_stacked_ball_sum_matches_per_slice_calls(n, N):
+    # slice 0 is a nonnegative spike, whose raw FFT sums dip below 0 by
+    # roundoff; slice 1 is the same spike negated, with negative entries, so
+    # its raw sums are exactly the negated ones and stay unclipped: their
+    # positive roundoff shows what the clip took from slice 0
+    rng = np.random.default_rng(3)
+    spike = np.zeros((N,) * n)
+    spike[(1,) * n] = 1.0
+    stack = np.stack([spike, -spike, rng.standard_normal(spike.shape) ** 2,
+                      rng.standard_normal(spike.shape)])
+    radii = [0.25, 0.25, 0.5, 2.0 / N]
+    out = ball_sum(stack, radii)
+    assert out.shape == stack.shape
+    for k, r in enumerate(radii):
+        assert np.array_equal(out[k], ball_sum(stack[k], r))
+    assert (out[1] > 0).any()
+    assert np.array_equal(out[0], np.maximum(-out[1], 0.0))
+    assert np.array_equal(out[:1], ball_sum(stack[:1], radii[:1]))
+    with pytest.raises(ValueError, match="radii"):
+        ball_sum(stack, radii[:3])
+
+
 @st.composite
 def ball_max_cases(draw):
     n = draw(st.sampled_from([1, 2, 3]))

@@ -18,6 +18,7 @@ from conical_lab.grid import (
     UpperHalfField,
     ball_cells,
     ball_kernel,
+    ball_max,
     ball_sum,
     lp_norm_weighted,
     torus_distance,
@@ -329,6 +330,91 @@ class TestCarleson:
         other = BallFamily.dense_dyadic(Grid(1, 32))
         with pytest.raises(ValueError, match="family grid"):
             tent.carleson_functional(F, 2.0, other)
+
+
+def loop_cone(F, params):
+    # one ball sum per selected level, accumulated in ladder order
+    grid, tg = F.grid, F.tgrid
+    acc = np.zeros(grid.shape)
+    for k in tent._selected_levels(tg, params):
+        t = tg.levels[k]
+        level = ball_sum(np.abs(F.values[k]) ** params.q, min(params.aperture * t, 0.5))
+        acc += (tg.dlog * (grid.h / t) ** grid.n) * level
+    return acc ** (1.0 / params.q)
+
+
+def loop_carleson(F, q, family):
+    # one ball sum and one ball max per radius
+    grid, tg = F.grid, F.tgrid
+    prefix = np.cumsum(np.abs(F.values) ** q, axis=0)
+    times = np.asarray(tg.levels)
+    out = np.zeros(grid.shape)
+    for r in family.radii:
+        j = int(np.searchsorted(times, r, side="right"))
+        if j == 0:
+            continue
+        _, cnt = ball_kernel(grid.n, grid.N, r)
+        total = ball_sum(prefix[j - 1], r)
+        np.maximum(out, ball_max((tg.dlog / cnt) * total, r), out=out)
+    return out ** (1.0 / q)
+
+
+def loop_carleson_p0(F, q, p0, family):
+    # one ball sum per level, then one ball sum and one ball max per radius
+    grid, tg = F.grid, F.tgrid
+    powed = np.abs(F.values) ** q
+    terms = [tg.dlog * (grid.h / t) ** grid.n * ball_sum(powed[k], min(t, 0.5))
+             for k, t in enumerate(tg.levels)]
+    prefix = np.cumsum(np.stack(terms), axis=0)
+    times = np.asarray(tg.levels)
+    out = np.zeros(grid.shape)
+    for r in family.radii:
+        j = int(np.searchsorted(times, r, side="right"))
+        if j == 0:
+            continue
+        _, cnt = ball_kernel(grid.n, grid.N, r)
+        avg = ball_sum(prefix[j - 1] ** (p0 / q), r) / cnt
+        np.maximum(out, ball_max(avg, r), out=out)
+    return out ** (1.0 / p0)
+
+
+class TestStackedBallSums:
+    """The functionals take their ball sums in stacked calls; each must equal
+    the per-level and per-radius loop bit for bit."""
+
+    @staticmethod
+    def _labs():
+        rng = np.random.default_rng(104)
+        for grid in (Grid(1, 16), Grid(2, 8), Grid(2, 32), Grid(3, 8)):
+            tg = TimeGrid.spanning(grid)
+            yield grid, tg, BallFamily.dense_dyadic(grid), rand_field(grid, tg, rng)
+        # a ladder above the smallest radius, so some radii hold no level
+        grid = Grid(1, 16)
+        tg = TimeGrid.geometric(grid, 0.15, 2.0, 2)
+        for radii in ((0.125, 0.25, 0.5), (0.125,)):
+            yield grid, tg, BallFamily(grid, radii), rand_field(grid, tg, rng)
+
+    @pytest.mark.parametrize("params", [
+        ConeParams(aperture=1.0),
+        ConeParams(aperture=0.5, q=1.5),
+        ConeParams(aperture=2.0, q=3.0, t_lo=0.05, t_hi=0.2),
+    ])
+    def test_cone_matches_level_loop(self, params):
+        for grid, tg, _, F in self._labs():
+            got = tent.cone_functional(F, params).values.real
+            assert np.array_equal(got, loop_cone(F, params))
+
+    @pytest.mark.parametrize("q", [2.0, 1.5])
+    def test_carleson_matches_radius_loop(self, q):
+        for grid, tg, fam, F in self._labs():
+            got = tent.carleson_functional(F, q, fam).values.real
+            assert np.array_equal(got, loop_carleson(F, q, fam))
+
+    @pytest.mark.parametrize("q,p0", [(2.0, 2.0), (2.0, 1.2), (3.0, 1.8)])
+    def test_carleson_p0_matches_level_and_radius_loop(self, q, p0):
+        for grid, tg, fam, F in self._labs():
+            got = tent.carleson_p0(F, q, p0, fam).values.real
+            assert np.array_equal(got, loop_carleson_p0(F, q, p0, fam))
 
 
 # ratio bounds between the two q = 2 box functionals, recorded at N = 32

@@ -11,10 +11,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PROBE = """
 import spans
-from conical_lab import elliptic, vericli
+from conical_lab import elliptic, grid, tent, vericli, weights
 original = elliptic.offdiagonal_opnorm
+original_sum = grid.ball_sum
 spans.install(spans.Recorder())
 assert vericli.offdiagonal_opnorm is not original, "vericli import not rebound"
+# the stacked ball sums of tent and weights count under grid.ball_sum
+assert grid.ball_sum is not original_sum, "grid.ball_sum not rebound"
+for mod in (tent, weights):
+    assert mod.ball_sum is grid.ball_sum, f"{mod.__name__}.ball_sum not rebound"
 print("installed")
 """
 

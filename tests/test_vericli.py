@@ -342,6 +342,22 @@ class TestComparisons:
         assert pairs == {"s_h2_vs_s_h1", "gcal_h2_vs_s_h1",
                          "s_p1_vs_s_h1", "gcal_p_vs_gcal_h"}
 
+    def test_each_square_function_once_per_field(self, monkeypatch):
+        # the four pairs share six distinct square functions, all on the
+        # same seeded fields
+        calls = []
+        real = vericli.squarefn.evaluate
+
+        def evaluate(op, spec, f, method="direct"):
+            calls.append((spec.family, spec.order, f.values.tobytes()))
+            return real(op, spec, f, method=method)
+
+        monkeypatch.setattr(vericli.squarefn, "evaluate", evaluate)
+        vericli.run_comparisons(make("samples = 4\nN = 8"))
+        assert len(calls) == 6 * 4
+        assert len({c[:2] for c in calls}) == 6
+        assert len({c[2] for c in calls}) == 4
+
     def test_generic_coefficients_report_only(self):
         t = vericli.run_comparisons(
             make("samples = 4\npreset = perturbed\nN = 8"))

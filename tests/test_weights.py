@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conical_lab.grid import Grid, GridFunction, ball_cells
+from conical_lab.grid import (
+    Grid,
+    GridFunction,
+    ball_cells,
+    ball_kernel,
+    ball_max,
+    ball_sum,
+)
 from conical_lab.weights import (
     BallFamily,
     Weight,
@@ -321,6 +328,23 @@ def test_hl_maximal_matches_bruteforce(g16, fam16):
     ref_c = brute_maximal(f, 1.0, balls, g16, centered=True)
     np.testing.assert_allclose(cen, ref_c, rtol=1e-9)
     assert np.all(cen <= hl_maximal(f, 1.0, fam16) + 1e-12)
+
+
+@pytest.mark.parametrize("centered", [False, True])
+def test_hl_maximal_matches_radius_loop(g16, centered):
+    # the stacked ball sums keep every bit of one ball_sum call per radius
+    rng = np.random.default_rng(13)
+    f = rng.normal(size=g16.shape) + 1j * rng.normal(size=g16.shape)
+    fam = BallFamily(g16, (*BallFamily.dense_dyadic(g16).radii, 0.3))
+    for p0 in (0.5, 1.5, 2.0):
+        vals = np.abs(f) ** p0
+        want = np.zeros(g16.shape)
+        for r in fam.radii:
+            _, cnt = ball_kernel(g16.n, g16.N, r)
+            avg = ball_sum(vals, r) / cnt
+            np.maximum(want, avg if centered else ball_max(avg, r), out=want)
+        got = hl_maximal(f, p0, fam, centered=centered)
+        assert np.array_equal(got, want ** (1.0 / p0))
 
 
 def test_hl_maximal_dominates_single_ball_averages(g16):
