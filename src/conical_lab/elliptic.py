@@ -232,9 +232,8 @@ class EllipticOperator:
     an array shaped like the grid, or a batch (B, *grid.shape), and return
     the same container. The operator is immutable after construction apart
     from internal caches (dense matrices, a ladder's stacked symbols), which
-    do not change results; they are filled
-    lazily and unguarded, so an operator is not safe to share across
-    threads. matrix may be None: the dense stencil matrix is then built when
+    do not change results; they are filled lazily and unguarded, so an
+    operator is not safe to share across threads. matrix may be None: the dense stencil matrix is then built when
     first read. eigs without V is the spectrum in the flattened fftn order.
     """
 
@@ -394,7 +393,8 @@ class EllipticOperator:
 
         The spectral tiers project cols onto their unitary basis once and
         take every level, time components included, from the stacked symbols
-        (built once per ladder and member, then cached) and one map back. The dense fallback goes time by time in ascending
+        (built once per ladder and member, then cached) and one map back.
+        The dense fallback goes time by time in ascending
         order: the cached exponential (see _expm), then m products with
         t^2 M; R for the time component starts from 2 t^2 M (heat) or
         t S (Poisson) on the same product and takes the same m products. On
