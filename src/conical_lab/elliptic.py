@@ -46,8 +46,9 @@ sqrt(tiny) ~ 1.5e-154 in magnitude to zero. The heat kernel's far entries
 would otherwise pass through the subnormal range, where gradual underflow
 makes a 512^2 product take 0.17-0.35 s in place of 0.02 s; the flush moves
 each entry, of size at most about 1, by less than 1.5e-154.
-heat, poisson, their gradients and EllipticOperator.ladder are thin entries
-to that one evaluator.
+EllipticOperator.ladder is the one entry to that evaluator: it takes a
+field or a batch of fields, and heat, poisson and their gradients are ladder
+at the one time (t,).
 
 The Poisson semigroup comes in two routes: the direct principal-branch
 calculus phi(z) = (t^2 z)^K e^{-t sqrt(z)} and the subordination rule
@@ -228,13 +229,17 @@ class BuildReport:
 class EllipticOperator:
     """Divergence-form operator with a tiered functional calculus.
 
-    Use assemble() to construct. All apply methods accept a GridFunction,
-    an array shaped like the grid, or a batch (B, *grid.shape), and return
-    the same container. The operator is immutable after construction apart
-    from internal caches (dense matrices, a ladder's stacked symbols), which
-    do not change results; they are filled lazily and unguarded, so an
-    operator is not safe to share across threads. matrix may be None: the dense stencil matrix is then built when
-    first read. eigs without V is the spectrum in the flattened fftn order.
+    Use assemble() to construct. ladder and its one-time entries (heat,
+    poisson and their gradients) accept a GridFunction, an array shaped like
+    the grid, or a batch (B, *grid.shape); heat and poisson return the same
+    container, the gradients their components (comps, ...).
+
+    The operator is immutable after construction apart from internal caches
+    (dense matrices, a ladder's stacked symbols), which do not change
+    results; they are filled lazily and unguarded, so an operator is not
+    safe to share across threads. matrix may be None: the dense stencil
+    matrix is then built when first read. eigs without V is the spectrum in
+    the flattened fftn order.
     """
 
     def __init__(self, grid, coeff, matrix, report, V=None, eigs=None):
@@ -254,21 +259,15 @@ class EllipticOperator:
         return self.grid.ncells
 
     def _as_columns(self, f):
+        """Columns (ncells, B) of f, and whether f is a batch."""
         if isinstance(f, GridFunction):
-            return f.values.reshape(-1, 1), ("gf",)
+            return f.values.reshape(-1, 1), False
         arr = np.asarray(f, dtype=complex)
         if arr.shape == self.grid.shape:
-            return arr.reshape(-1, 1), ("field",)
+            return arr.reshape(-1, 1), False
         if arr.ndim == self.grid.n + 1 and arr.shape[1:] == self.grid.shape:
-            return arr.reshape(arr.shape[0], -1).T, ("batch", arr.shape[0])
+            return arr.reshape(arr.shape[0], -1).T, True
         raise ValueError("expected GridFunction, grid-shaped array, or batch")
-
-    def _wrap(self, cols, tag):
-        if tag[0] == "gf":
-            return GridFunction(self.grid, cols[:, 0].reshape(self.grid.shape))
-        if tag[0] == "field":
-            return cols[:, 0].reshape(self.grid.shape)
-        return cols.T.reshape(tag[1], *self.grid.shape)
 
     @property
     def matrix(self):
@@ -443,11 +442,13 @@ class EllipticOperator:
 
     def heat(self, t, m, f):
         """(t^2 L)^m e^{-t^2 L} f."""
-        return self._evaluate("heat", t, m, "none", f, "direct")
+        out = self.ladder("heat", m, "none", (t,), f)[0, 0]
+        return GridFunction(self.grid, out) if isinstance(f, GridFunction) else out
 
     def poisson(self, t, K, f, method="direct"):
         """(t sqrt(L))^{2K} e^{-t sqrt(L)} f."""
-        return self._evaluate("poisson", t, K, "none", f, method)
+        out = self.ladder("poisson", K, "none", (t,), f, method)[0, 0]
+        return GridFunction(self.grid, out) if isinstance(f, GridFunction) else out
 
     # ------------------------------------------------------------ gradients
 
@@ -457,28 +458,12 @@ class EllipticOperator:
         The time component is evaluated analytically: t d/dt of the family
         equals 2m Q_m - 2 Q_{m+1} with Q_j = (t^2 L)^j e^{-t^2 L}.
         """
-        return self._gradient("heat", t, m, f, mode, "direct")
+        return self.ladder("heat", m, _gradient_mode(mode), (t,), f)[0]
 
     def poisson_gradient(self, t, K, f, mode="spatial", method="direct"):
         """t grad (t sqrt(L))^{2K} e^{-t sqrt(L)} f; time component analytic:
         2K P_K - phi_{K+1/2}(L) with phi_{K+1/2}(z) = (t sqrt(z))^{2K+1} e^{-t sqrt(z)}."""
-        return self._gradient("poisson", t, K, f, mode, method)
-
-    def _gradient(self, family, t, m, f, mode, method):
-        if mode not in ("spatial", "full"):
-            raise ValueError("mode must be spatial or full")
-        return self._evaluate(family, t, m, mode, f, method)
-
-    def _evaluate(self, family, t, m, derivative, f, method):
-        """One member at one time on any input container: the family itself
-        in f's container, a gradient as components (comps, ...)."""
-        SemigroupRequest(family, t, m, derivative)
-        cols, tag = self._as_columns(f)
-        if derivative == "none":
-            return self._wrap(self._apply(family, (t,), int(m), cols, method)[0], tag)
-        out = self._member(family, (t,), int(m), derivative, cols, method)[0]
-        fields = out.transpose(0, 2, 1).reshape(out.shape[0], cols.shape[1], *self.grid.shape)
-        return fields if tag[0] == "batch" else fields[:, 0]
+        return self.ladder("poisson", K, _gradient_mode(mode), (t,), f, method)[0]
 
     def _member(self, family, times, m, derivative, cols, method):
         """One member, as SemigroupRequest names it, at every time of times,
@@ -507,23 +492,29 @@ class EllipticOperator:
     # --------------------------------------------------------- time ladder
 
     def ladder(self, family, order, derivative, levels, f, method="direct"):
-        """One family member at every time of levels, for one field f.
+        """One family member at every time of levels, for a field or a batch.
 
         family, order and derivative name the member as SemigroupRequest
         does: "none" is the family itself, "spatial" and "full" are the
         components of heat_gradient / poisson_gradient. Returns an array of
-        shape (len(levels), comps, *grid.shape). method selects the Poisson
-        route and is ignored by the heat family.
+        shape (len(levels), comps, *grid.shape) for one field f, and
+        (len(levels), comps, B, *grid.shape) for a batch (B, *grid.shape).
+        method selects the Poisson route and is ignored by the heat family.
         """
         times = np.asarray(levels, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("levels must be a nonempty sequence of times")
         SemigroupRequest(family, float(times.min()), order, derivative)
-        cols, _ = self._as_columns(f)
-        if cols.shape[1] != 1:
-            raise ValueError("ladder takes a single field, not a batch")
+        cols, batch = self._as_columns(f)
         out = self._member(family, times, int(order), derivative, cols, method)
-        return out[..., 0].reshape(times.size, -1, *self.grid.shape)
+        fields = out.swapaxes(-1, -2).reshape(*out.shape[:2], -1, *self.grid.shape)
+        return fields if batch else fields[:, :, 0]
+
+
+def _gradient_mode(mode):
+    if mode not in ("spatial", "full"):
+        raise ValueError("mode must be spatial or full")
+    return mode
 
 
 # Al-Mohy & Higham (2009): the largest 1-norm at which the Pade 13
@@ -651,22 +642,14 @@ class SemigroupRequest:
             raise ValueError("time must be positive")
 
 
-def _member_block(op, request, cells):
-    """The member request names on the unit fields of cells: the block of
-    shape (comps * ncells, len(cells)), components stacked as row blocks."""
-    cols = np.zeros((op.ncells, len(cells)), dtype=complex)
-    cols[cells, np.arange(len(cells))] = 1.0
-    member = (request.family, (request.time,), int(request.order), request.derivative)
-    return op._member(*member, cols, "direct")[0].reshape(-1, len(cells))
-
-
 def offdiagonal_opnorm(op, request, E, F, p=2.0):
     """||chi_F T chi_E|| from l^p on E to the mixed norm (l2 over components,
     l^p over cells) on F, for the member T that request names.
 
-    The restricted block takes one apply on the |E| unit columns of E; its
-    rows on F go to _matrix_pnorm, which is exact at p = 2, and at p = 1
-    and p = inf for scalar members, and raises ValueError at any other p.
+    The restricted block takes one ladder call on the batch of |E| unit
+    fields of E; its rows on F go to _matrix_pnorm, which is exact at p = 2,
+    and at p = 1 and p = inf for scalar members, and raises ValueError at
+    any other p.
     """
     E = np.unique(np.asarray(E, dtype=int))
     F = np.unique(np.asarray(F, dtype=int))
@@ -674,10 +657,14 @@ def offdiagonal_opnorm(op, request, E, F, p=2.0):
         raise ValueError("E and F must be nonempty")
     if np.intersect1d(E, F).size:
         raise ValueError("E and F must be disjoint")
-    block = _member_block(op, request, E)
-    comps = block.shape[0] // op.ncells
-    rows = (np.arange(comps)[:, None] * op.ncells + F).ravel()
-    return _matrix_pnorm(block[rows], p, ncomp=comps)
+    unit = np.zeros((E.size, op.ncells), dtype=complex)
+    unit[np.arange(E.size), E] = 1.0
+    fields = op.ladder(request.family, request.order, request.derivative,
+                       (request.time,), unit.reshape(E.size, *op.grid.shape))[0]
+    comps = fields.shape[0]
+    # rows: component-major blocks of the cells of F; columns: the cells of E
+    block = fields.reshape(comps, E.size, -1)[:, :, F].transpose(0, 2, 1)
+    return _matrix_pnorm(block.reshape(comps * F.size, E.size), p, ncomp=comps)
 
 
 def _matrix_pnorm(B, p, ncomp=1):

@@ -57,16 +57,16 @@ class SquareFunctionSpec:
             raise ValueError("aperture must be positive")
 
 
-def integrand_field(op, spec, f, method="direct"):
+def integrand_field(op, spec, f):
     """UpperHalfField of pointwise integrand magnitudes for spec.
 
-    method selects the Poisson evaluation route and is ignored by the heat
-    families.
+    The member comes from op.ladder on the direct route: the spectral or
+    dense calculus of the operator, for heat and Poisson alike.
     """
     tg = spec.tgrid if spec.tgrid is not None else TimeGrid.spanning(op.grid)
     semigroup, kind, _ = FAMILIES[spec.family]
     derivative = {"s": "none", "g": "spatial", "gcal": "full"}[kind]
-    comps = op.ladder(semigroup, spec.order, derivative, tg.levels, f, method=method)
+    comps = op.ladder(semigroup, spec.order, derivative, tg.levels, f)
     if kind == "s":
         mags = np.abs(comps[:, 0])
     else:
@@ -74,9 +74,9 @@ def integrand_field(op, spec, f, method="direct"):
     return UpperHalfField(op.grid, tg, mags)
 
 
-def evaluate(op, spec, f, method="direct"):
+def evaluate(op, spec, f):
     """The conical square function of f as a grid function."""
-    F = integrand_field(op, spec, f, method=method)
+    F = integrand_field(op, spec, f)
     return cone_functional(F, ConeParams(aperture=spec.aperture, q=2.0))
 
 
@@ -111,7 +111,7 @@ class DominationReport:
         return self.max_violation <= 1e-12
 
 
-def pointwise_domination_report(op, f, orders=(0, 1, 2), tgrid=None, method="direct"):
+def pointwise_domination_report(op, f, orders=(0, 1, 2), tgrid=None):
     """Check the component-subset and factor-two dominations cell by cell."""
     tg = tgrid if tgrid is not None else TimeGrid.spanning(op.grid)
     cone = ConeParams(aperture=1.0, q=2.0)
@@ -124,7 +124,7 @@ def pointwise_domination_report(op, f, orders=(0, 1, 2), tgrid=None, method="dir
     heat_zero_time = heat_zero_full = None
     for semigroup in ("heat", "poisson"):
         for m in orders:
-            comps = op.ladder(semigroup, m, "full", tg.levels, f, method=method)
+            comps = op.ladder(semigroup, m, "full", tg.levels, f)
             sq = np.abs(comps) ** 2
             g_mags = np.sqrt(sq[:, : grid.n].sum(axis=1))
             full_mags = np.sqrt(sq.sum(axis=1))

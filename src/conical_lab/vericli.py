@@ -31,8 +31,8 @@ from .grid import (
     TimeGrid,
     UpperHalfField,
     GridFunction,
+    ball_cells,
     lp_norm_weighted,
-    torus_distance,
 )
 from .weights import (
     BallFamily,
@@ -62,13 +62,13 @@ _FLOAT_KEYS = (
     "t0", "ratio", "theta", "p", "p0", "r", "s",
     "tol", "drift", "margin", "t", "radius",
 )
-_STR_KEYS = ("experiment", "preset", "coeff_file", "branch", "family", "out")
 _TUPLE_KEYS = ("apertures", "center", "separations", "p_list")
 _LOWER_BOUNDS = (
     ("samples", ">=", 2), ("p", ">", 0), ("p0", ">", 0),
     ("t", ">", 0), ("order", ">=", 0), ("tol", ">", 0),
     ("drift", ">", 0), ("margin", ">", 0), ("p_list", ">", 0),
     ("apertures", ">", 0), ("r", ">=", 1), ("s", ">=", 1),
+    ("radius", ">", 0),
 )
 
 
@@ -605,21 +605,11 @@ def run_offdiagonal(cfg):
             )
     if len(set(seps)) < 3:
         raise ConfigError("need at least three separations that differ to compare models")
-    pts = grid.cell_centers().reshape(-1, grid.n)
-    anchor = np.full(grid.n, 0.25)
-
-    def cells_near(center, rad):
-        idx = np.flatnonzero(torus_distance(pts, center) < rad)
-        if idx.size == 0:
-            raise ConfigError(f"radius {rad} captures no cell at N = {grid.N}")
-        return idx
-
-    E = cells_near(anchor, radius)
-    Fs = []
-    for d in seps:
-        shifted = anchor.copy()
-        shifted[0] += d
-        Fs.append(cells_near(shifted, radius))
+    # E at the anchor, each F shifted from it by d along the first axis
+    anchor, axis0 = np.full(grid.n, 0.25), np.eye(grid.n)[0]
+    E, *Fs = (ball_cells(grid, anchor + d * axis0, radius) for d in (0.0, *seps))
+    if any(cells.size == 0 for cells in (E, *Fs)):
+        raise ConfigError(f"radius {radius} captures no cell at N = {grid.N}")
     order = cfg.order
     try:
         requests = {label: SemigroupRequest(kind, t, order, derivative)

@@ -142,6 +142,18 @@ def pert1_8():
 
 
 @pytest.fixture(scope="module")
+def herm1_16():
+    g = Grid(1, 16)
+    return assemble(g, _cosine_diagonal(g))
+
+
+@pytest.fixture(scope="module")
+def herm2_8():
+    g = Grid(2, 8)
+    return assemble(g, _cosine_diagonal(g))
+
+
+@pytest.fixture(scope="module")
 def scalar_complex():
     # normal but not hermitian: (1 + 0.8i) times the 1-d Laplacian
     g = Grid(1, 32)
@@ -893,6 +905,87 @@ def test_ladder_subordination_route(lap1):
         assert np.array_equal(got[k], want)
 
 
+def _random_batch(grid, size, seed):
+    rng = np.random.default_rng(seed)
+    shape = (size, *grid.shape)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+MEMBERS = [(family, derivative, order) for family in ("heat", "poisson")
+           for derivative in ("none", "spatial", "full") for order in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("fix", ["lap1", "cross2"])
+def test_fft_ladder_batch_is_per_field(fix, request):
+    # the fft tier transforms each field of a batch on its own, so the batch
+    # reproduces every per-field bit
+    op = request.getfixturevalue(fix)
+    assert op.report.tier == "fft"
+    g = op.grid
+    batch = _random_batch(g, 3, 41)
+    levels = TimeGrid.spanning(g).levels
+    cases = [(family, derivative, order, "direct") for family, derivative, order in MEMBERS]
+    if fix == "lap1":
+        cases += [("poisson", derivative, order, "subordination")
+                  for derivative in ("none", "full") for order in (0, 2)]
+    for family, derivative, order, method in cases:
+        got = op.ladder(family, order, derivative, levels, batch, method)
+        ncomp = {"none": 1, "spatial": g.n, "full": g.n + 1}[derivative]
+        assert got.shape == (len(levels), ncomp, len(batch), *g.shape)
+        for b, f in enumerate(batch):
+            want = op.ladder(family, order, derivative, levels, f, method)
+            assert np.array_equal(got[:, :, b], want), (family, derivative, order, method, b)
+
+
+@pytest.mark.parametrize("fix", ["pert1_8", "pert1_16", "herm1_16", "herm2_8"])
+def test_matrix_ladder_batch_is_per_field(fix, request):
+    # a batch multiplies matrices where one field multiplies a vector, so the
+    # two differ by roundoff. Budget of test_dense_route_exact_oracle:
+    # C ||f|| (1 + tau ||M||_2)^m for the member, one power more for the time
+    # component, and a factor 2 t / h more for t times a forward difference
+    op = request.getfixturevalue(fix)
+    assert op.report.tier == ("dense-fallback" if fix.startswith("pert") else "hermitian-eig")
+    g = op.grid
+    batch = _random_batch(g, 3, 43)
+    levels = TimeGrid.spanning(g).levels
+    norm_M = np.linalg.norm(op.matrix, 2)
+    C = 1e-12
+    for family, derivative, order in MEMBERS:
+        got = op.ladder(family, order, derivative, levels, batch)
+        for b, f in enumerate(batch):
+            want = op.ladder(family, order, derivative, levels, f)
+            for k, t in enumerate(levels):
+                member = C * np.linalg.norm(f) * (1 + t * t * norm_M) ** order
+                budgets = {"none": [member], "spatial": [member * 2 * t / g.h] * g.n,
+                           "full": [member * 2 * t / g.h] * g.n
+                           + [member * (1 + t * t * norm_M)]}[derivative]
+                for c, budget in enumerate(budgets):
+                    err = np.linalg.norm(got[k, c, b] - want[k, c])
+                    assert err <= budget, (family, derivative, order, k, c, err / budget)
+
+
+@pytest.mark.parametrize("fix", ["lap1", "pert1_8", "herm2_8"])
+def test_one_time_entries_are_ladder(fix, request):
+    op = request.getfixturevalue(fix)
+    g = op.grid
+    batch = _random_batch(g, 2, 47)
+    t = 0.3
+    for f in (GridFunction(g, batch[0]), batch[0], batch):
+        values = f.values if isinstance(f, GridFunction) else f
+        for order in (0, 2):
+            heat = op.heat(t, order, f)
+            poisson = op.poisson(t, order, f)
+            for got, family in ((heat, "heat"), (poisson, "poisson")):
+                assert isinstance(got, GridFunction) == isinstance(f, GridFunction)
+                got = got.values if isinstance(got, GridFunction) else got
+                assert got.shape == values.shape
+                assert np.array_equal(got, op.ladder(family, order, "none", (t,), f)[0, 0])
+            for mode in ("spatial", "full"):
+                for got, family in ((op.heat_gradient(t, order, f, mode=mode), "heat"),
+                                    (op.poisson_gradient(t, order, f, mode=mode), "poisson")):
+                    assert np.array_equal(got, op.ladder(family, order, mode, (t,), f)[0])
+
+
 @pytest.mark.parametrize("build", [
     lambda g: CoefficientField.preset(g, "laplace"),
     _cosine_diagonal,
@@ -950,8 +1043,8 @@ def test_ladder_validation(lap1):
         lap1.ladder("heat", 0, "none", (), f)
     with pytest.raises(ValueError, match="unknown method"):
         lap1.ladder("poisson", 0, "none", (0.1,), f, method="cayley")
-    with pytest.raises(ValueError, match="single field"):
-        lap1.ladder("heat", 0, "none", (0.1,), np.ones((2, *lap1.grid.shape)))
+    with pytest.raises(ValueError, match="grid-shaped array, or batch"):
+        lap1.ladder("heat", 0, "none", (0.1,), np.ones((2, 3)))
 
 
 # ---------------------------------------------------------- exact norms

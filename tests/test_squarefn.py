@@ -15,6 +15,7 @@ from conical_lab.grid import (
     Grid,
     GridFunction,
     TimeGrid,
+    UpperHalfField,
     ball_kernel,
     lp_norm_weighted,
     read_gridfunction,
@@ -164,14 +165,19 @@ class TestEvaluate:
         assert F.values.shape[0] == len(tg.levels)
 
     def test_subordination_cross_check(self, lap1):
-        # the quadrature route must agree with the direct matrix functions;
-        # the 48-node rule lands at 4.2e-4 on this ladder (small times are
-        # the hard regime), so the gate sits at 1e-3
+        # the quadrature route on the operator must agree with the direct
+        # matrix functions the square function uses; the 48-node rule lands
+        # at 4.2e-4 on this ladder (small times are the hard regime), so the
+        # gate sits at 1e-3
         rng = np.random.default_rng(44)
         f = rand_gf(lap1.grid, rng)
         spec = sf.SquareFunctionSpec("s_p")
-        direct = sf.evaluate(lap1, spec, f, method="direct").values.real
-        sub = sf.evaluate(lap1, spec, f, method="subordination").values.real
+        tg = TimeGrid.spanning(lap1.grid)
+        direct = sf.evaluate(lap1, spec, f).values.real
+        comps = lap1.ladder("poisson", spec.order, "none", tg.levels, f,
+                            method="subordination")
+        F = UpperHalfField(lap1.grid, tg, np.abs(comps[:, 0]))
+        sub = tent.cone_functional(F, tent.ConeParams(aperture=1.0, q=2.0)).values.real
         err = float(np.abs(direct - sub).max()) / float(direct.max())
         assert err < 1e-3
 

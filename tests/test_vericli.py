@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
             ExperimentConfig.parse("seed = 1\nbogus = 2")
+
+    def test_parsed_keys_match_annotations(self):
+        # a key of a numeric or tuple field missing from its list would
+        # silently parse as a string
+        annotated = {
+            kind: {f.name for f in fields(ExperimentConfig) if f.type in (kind, kind | None)}
+            for kind in (int, float, tuple)
+        }
+        assert set(vericli._INT_KEYS) == annotated[int]
+        assert set(vericli._FLOAT_KEYS) == annotated[float]
+        assert set(vericli._TUPLE_KEYS) == annotated[tuple]
 
     def test_seed_mandatory(self):
         with pytest.raises(ConfigError, match="seed is mandatory"):
@@ -348,9 +360,9 @@ class TestComparisons:
         calls = []
         real = vericli.squarefn.evaluate
 
-        def evaluate(op, spec, f, method="direct"):
+        def evaluate(op, spec, f):
             calls.append((spec.family, spec.order, f.values.tobytes()))
-            return real(op, spec, f, method=method)
+            return real(op, spec, f)
 
         monkeypatch.setattr(vericli.squarefn, "evaluate", evaluate)
         vericli.run_comparisons(make("samples = 4\nN = 8"))
@@ -464,6 +476,8 @@ class TestMain:
         ("carleson", "p0=-1", []),
         ("offdiag", "t=-0.1", []),
         ("offdiag", "order=-1", []),
+        # rejected as out of range, not as a ball that captures no cell
+        ("offdiag", "radius=0", []),
         ("boundedness", "p_list=0", ["N=16"]),
         ("sharpness", "apertures=-1,2", []),
         ("carleson", "drift=-1", ["N=16", "samples=4"]),
