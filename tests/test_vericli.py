@@ -476,8 +476,6 @@ class TestMain:
         ("carleson", "p0=-1", []),
         ("offdiag", "t=-0.1", []),
         ("offdiag", "order=-1", []),
-        # rejected as out of range, not as a ball that captures no cell
-        ("offdiag", "radius=0", []),
         ("boundedness", "p_list=0", ["N=16"]),
         ("sharpness", "apertures=-1,2", []),
         ("carleson", "drift=-1", ["N=16", "samples=4"]),
@@ -485,6 +483,8 @@ class TestMain:
         ("sharpness", "tol=-0.1", []),
         ("angles", "r=0.5", ["branch=i"]),
         ("angles", "s=0.5", ["branch=ii"]),
+        # rejected as out of range, not as a ball that captures no cell
+        ("offdiag", "radius=0", []),
     ])
     def test_out_of_range_key_is_config_error(self, experiment, bad, extra,
                                               tmp_path, capsys):
