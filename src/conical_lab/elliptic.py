@@ -27,8 +27,8 @@ only when it is read.
 
 Every family member goes through one seam: _symbol writes the spectral
 symbols and their time components, _apply evaluates a member at every time of
-a ladder on columns, in whichever tier the operator has (or by
-subordination), and _member adds the scaled gradients. The two spectral
+a ladder on columns, in whichever tier the operator has, and _member adds
+the scaled gradients. The two spectral
 tiers project onto their unitary basis once (fftn over the grid axes, or
 V^H) and take all levels, time components included, from the stacked
 symbols and one map back (ifftn, or one matrix product with V); a ladder's
@@ -49,18 +49,6 @@ each entry, of size at most about 1, by less than 1.5e-154.
 EllipticOperator.ladder is the one entry to that evaluator: it takes a
 field or a batch of fields, and heat, poisson and their gradients are ladder
 at the one time (t,).
-
-The Poisson semigroup comes in two routes: the direct principal-branch
-calculus phi(z) = (t^2 z)^K e^{-t sqrt(z)} and the subordination rule
-
-    e^{-t sqrt(L)} f = C sum_i w_i (4 u_i)^K e^{-(t^2/(4 u_i)) L} f
-
-with generalized Gauss-Laguerre nodes for the weight u^{-1/2} e^{-u} and
-C = 1/sum_i w_i, which makes the rule exact on constants (so L1 = 0 holds
-exactly along this route too). The rule's relative error decays like
-exp(-c sqrt(b)) in b = t^2 mu / 4 over spectral content mu; agreement with
-the direct route to 1e-6 needs b of order 10 or more, below which the
-direct route is the accurate one.
 """
 
 from __future__ import annotations
@@ -68,11 +56,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field as dfield
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import gammaincc, roots_genlaguerre
 
 from .grid import MAGIC, GridFunction, _parse_header
 
@@ -83,10 +69,6 @@ class EllipticityError(ValueError):
     def __init__(self, msg, cell=None):
         super().__init__(msg)
         self.cell = cell
-
-
-class QuadratureError(RuntimeError):
-    """Subordination tail bound above tolerance."""
 
 
 # ------------------------------------------------------------ coefficients
@@ -385,7 +367,7 @@ class EllipticOperator:
         phi = (tau * lam) ** m * decay
         return np.stack([phi, 2 * m * phi - rest]) if time else phi
 
-    def _apply(self, family, times, m, cols, method="direct", time=False):
+    def _apply(self, family, times, m, cols, time=False):
         """The member at every time of times, on columns (ncells, B); returns
         (len(times), ncells, B). time=True adds a leading axis of two that
         holds the member and its time component (see _symbol).
@@ -396,23 +378,9 @@ class EllipticOperator:
         The dense fallback goes time by time in ascending
         order: the cached exponential (see _expm), then m products with
         t^2 M; R for the time component starts from 2 t^2 M (heat) or
-        t S (Poisson) on the same product and takes the same m products. On
-        the subordination route the Poisson member is a weighted sum of heat
-        members of order m at the times
-        s = t / (2 sqrt(u)), with node weight (4u)^m since t^2 L = (4u) s^2 L;
-        t d/dt acts on each term as s d/ds, so the time component is the same
-        sum of heat ones.
+        t S (Poisson) on the same product and takes the same m products.
         """
-        if method not in ("direct", "subordination"):
-            raise ValueError(f"unknown method {method!r}")
         times = np.asarray(times, dtype=float)
-        if family == "poisson" and method == "subordination":
-            u, w, norm = _genlaguerre_rule(48)
-            _subordination_tail_check(m, u[-1], 1e-8, 48)
-            out = sum((wi * (4 * ui) ** m) * self._apply(
-                "heat", times / (2 * math.sqrt(ui)), m, cols, time=time)
-                for ui, wi in zip(u, w))
-            return out / norm
         if self.has_eigenbasis:
             phi = self._cached(("symbol", family, times.tobytes(), m, time),
                                lambda: self._symbol(family, times[:, None], m, time))
@@ -445,9 +413,9 @@ class EllipticOperator:
         out = self.ladder("heat", m, "none", (t,), f)[0, 0]
         return GridFunction(self.grid, out) if isinstance(f, GridFunction) else out
 
-    def poisson(self, t, K, f, method="direct"):
+    def poisson(self, t, K, f):
         """(t sqrt(L))^{2K} e^{-t sqrt(L)} f."""
-        out = self.ladder("poisson", K, "none", (t,), f, method)[0, 0]
+        out = self.ladder("poisson", K, "none", (t,), f)[0, 0]
         return GridFunction(self.grid, out) if isinstance(f, GridFunction) else out
 
     # ------------------------------------------------------------ gradients
@@ -460,12 +428,12 @@ class EllipticOperator:
         """
         return self.ladder("heat", m, _gradient_mode(mode), (t,), f)[0]
 
-    def poisson_gradient(self, t, K, f, mode="spatial", method="direct"):
+    def poisson_gradient(self, t, K, f, mode="spatial"):
         """t grad (t sqrt(L))^{2K} e^{-t sqrt(L)} f; time component analytic:
         2K P_K - phi_{K+1/2}(L) with phi_{K+1/2}(z) = (t sqrt(z))^{2K+1} e^{-t sqrt(z)}."""
-        return self.ladder("poisson", K, _gradient_mode(mode), (t,), f, method)[0]
+        return self.ladder("poisson", K, _gradient_mode(mode), (t,), f)[0]
 
-    def _member(self, family, times, m, derivative, cols, method):
+    def _member(self, family, times, m, derivative, cols):
         """One member, as SemigroupRequest names it, at every time of times,
         from columns (ncells, B) to components (len(times), comps, ncells, B).
 
@@ -475,9 +443,9 @@ class EllipticOperator:
         n, h, shape = self.grid.n, self.grid.h, self.grid.shape
         times = np.asarray(times, dtype=float)
         if derivative == "full":
-            base, dt = self._apply(family, times, m, cols, method, time=True)
+            base, dt = self._apply(family, times, m, cols, time=True)
         else:
-            base = self._apply(family, times, m, cols, method)
+            base = self._apply(family, times, m, cols)
         if derivative == "none":
             return base[:, None]
         L, B = times.size, cols.shape[-1]
@@ -491,7 +459,7 @@ class EllipticOperator:
 
     # --------------------------------------------------------- time ladder
 
-    def ladder(self, family, order, derivative, levels, f, method="direct"):
+    def ladder(self, family, order, derivative, levels, f):
         """One family member at every time of levels, for a field or a batch.
 
         family, order and derivative name the member as SemigroupRequest
@@ -499,14 +467,13 @@ class EllipticOperator:
         components of heat_gradient / poisson_gradient. Returns an array of
         shape (len(levels), comps, *grid.shape) for one field f, and
         (len(levels), comps, B, *grid.shape) for a batch (B, *grid.shape).
-        method selects the Poisson route and is ignored by the heat family.
         """
         times = np.asarray(levels, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("levels must be a nonempty sequence of times")
         SemigroupRequest(family, float(times.min()), order, derivative)
         cols, batch = self._as_columns(f)
-        out = self._member(family, times, int(order), derivative, cols, method)
+        out = self._member(family, times, int(order), derivative, cols)
         fields = out.swapaxes(-1, -2).reshape(*out.shape[:2], -1, *self.grid.shape)
         return fields if batch else fields[:, :, 0]
 
@@ -542,33 +509,6 @@ def _flush(E):
     parts = E.view(np.float64)  # real and imaginary parts, interleaved
     mag = np.abs(parts)
     parts[(mag < _FLUSH) & (mag > 0)] = 0.0
-
-
-@lru_cache(maxsize=8)
-def _genlaguerre_rule(nodes):
-    u, w = roots_genlaguerre(nodes, -0.5)
-    return u, w, float(w.sum())
-
-
-def _subordination_tail_check(K, u_max, tol, nodes):
-    # integrand beyond the last node bounded by (4K/e)^K u^{K-1/2} e^{-u}
-    amp = 1.0 if K == 0 else (4 * K / math.e) ** K
-
-    def bound(u):
-        return amp * math.gamma(K + 0.5) * float(gammaincc(K + 0.5, u)) / math.sqrt(math.pi)
-
-    tail = bound(u_max)
-    if tail > tol:
-        need = nodes
-        while need <= 512:
-            need *= 2
-            if bound(_genlaguerre_rule(need)[0][-1]) <= tol:
-                raise QuadratureError(
-                    f"subordination tail {tail:.2e} above {tol:.0e} at {nodes} nodes "
-                    f"for K={K}; use at least {need} nodes")
-        raise QuadratureError(
-            f"subordination tail {tail:.2e} above {tol:.0e} at {nodes} nodes for K={K}; "
-            "no node count up to 512 suffices")
 
 
 def _clean_spectrum(eigs):

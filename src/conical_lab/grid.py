@@ -119,8 +119,15 @@ def ball_cells(grid, center, radius):
     if not 0.0 < radius <= 0.5:
         raise ValueError(f"radius must be in (0, 1/2], got {radius}")
     center = np.asarray(center, dtype=float).reshape(grid.n)
-    d = torus_distance(grid.cell_centers(), center)
-    return np.flatnonzero(d.ravel() < radius)
+    # the min-image distance per axis, of the N cell-center coordinates, as
+    # torus_distance takes it; the squares sum axis by axis in its order
+    x = (np.arange(grid.N) + 0.5) * grid.h
+    d2 = 0.0
+    for c in center:
+        d = np.abs(x - c) % 1.0
+        d = np.minimum(d, 1.0 - d)
+        d2 = np.add.outer(d2, d * d)
+    return np.flatnonzero(np.sqrt(d2).ravel() < radius)
 
 
 def lp_norm_weighted(f, w, p):
@@ -142,7 +149,7 @@ def lp_norm_array(values, w, p, grid):
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     w = np.asarray(w, dtype=float)
-    if w.ndim and np.any(w <= 0):
+    if not np.all(w > 0):
         raise ValueError("weight must be strictly positive")
     return float(np.sum(np.abs(values) ** p * w) * grid.h**grid.n) ** (1.0 / p)
 

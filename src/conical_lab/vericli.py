@@ -68,7 +68,7 @@ _LOWER_BOUNDS = (
     ("t", ">", 0), ("order", ">=", 0), ("tol", ">", 0),
     ("drift", ">", 0), ("margin", ">", 0), ("p_list", ">", 0),
     ("apertures", ">", 0), ("r", ">=", 1), ("s", ">=", 1),
-    ("radius", ">", 0),
+    ("radius", ">", 0), ("seed", ">=", 0),
 )
 
 

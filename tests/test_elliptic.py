@@ -24,11 +24,11 @@ from conical_lab import elliptic as el
 from conical_lab.elliptic import (
     CoefficientField,
     EllipticityError,
-    QuadratureError,
     SemigroupRequest,
     assemble,
     offdiagonal_opnorm,
 )
+from subordination_oracle import QuadratureError, poisson_ladder
 
 
 # --------------------------------------------------------------- reference
@@ -627,11 +627,11 @@ def test_poisson_direct_vs_subordination(fix, request):
     rng = np.random.default_rng(11)
     f = rng.normal(size=op.grid.shape) + 1j * rng.normal(size=op.grid.shape)
     t = 1.0
-    a0 = op.poisson(t, 0, f, method="direct")
-    b0 = op.poisson(t, 0, f, method="subordination")
+    a0 = op.poisson(t, 0, f)
+    b0 = poisson_ladder(op, 0, "none", (t,), f)[0, 0]
     assert rel(b0, a0) < 1e-6
-    a1 = op.poisson(t, 1, f, method="direct")
-    b1 = op.poisson(t, 1, f, method="subordination")
+    a1 = op.poisson(t, 1, f)
+    b1 = poisson_ladder(op, 1, "none", (t,), f)[0, 0]
     assert rel(b1, a1) < 2e-6
 
 
@@ -775,12 +775,18 @@ def test_dense_route_exact_oracle():
 def test_subordination_tail_guard(lap1):
     f = np.ones(lap1.grid.shape)
     with pytest.raises(QuadratureError, match="96 nodes"):
-        lap1.poisson(0.5, 24, f, method="subordination")
+        poisson_ladder(lap1, 24, "none", (0.5,), f)
 
 
 def test_unknown_poisson_method(lap1):
-    with pytest.raises(ValueError, match="unknown method"):
-        lap1.poisson(0.5, 0, np.ones(lap1.grid.shape), method="cayley")
+    # the operator has one Poisson route and takes no route keyword
+    f = np.ones(lap1.grid.shape)
+    with pytest.raises(TypeError):
+        lap1.poisson(0.5, 0, f, method="direct")
+    with pytest.raises(TypeError):
+        lap1.poisson_gradient(0.5, 0, f, method="direct")
+    with pytest.raises(TypeError):
+        lap1.ladder("poisson", 0, "none", (0.5,), f, method="direct")
 
 
 # ---------------------------------------------------------------- gradients
@@ -808,13 +814,14 @@ def test_gradient_spatial_fourier_oracle(lap1):
 
 
 @pytest.mark.parametrize("family", ["heat", "poisson"])
-def test_time_derivative_fd_order(lap1, pert1_16, family):
+def test_time_derivative_fd_order(lap1, pert1_16, herm1_16, family):
     # analytic time component vs centered differences of the plain family,
-    # in the Hermitian tier (lap1) and on the dense route (pert1_16); the
-    # measured convergence order is 2, well above the 1.8 floor
+    # in the fft tier (lap1), on the dense route (pert1_16) and in the
+    # Hermitian tier (herm1_16); the measured convergence order is 2, well
+    # above the 1.8 floor
     rng = np.random.default_rng(14)
     t = 0.3
-    for op in (lap1, pert1_16):
+    for op in (lap1, pert1_16, herm1_16):
         g = op.grid
         f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
         for m in (0, 1, 2):
@@ -857,14 +864,14 @@ def test_members_reject_bad_time_and_order(lap1, member):
 # -------------------------------------------------------------- time ladder
 
 
-def _per_level(op, family, order, derivative, t, f, method="direct"):
+def _per_level(op, family, order, derivative, t, f):
     if derivative == "none":
         if family == "heat":
             return op.heat(t, order, f)[None]
-        return op.poisson(t, order, f, method=method)[None]
+        return op.poisson(t, order, f)[None]
     if family == "heat":
         return op.heat_gradient(t, order, f, mode=derivative)
-    return op.poisson_gradient(t, order, f, mode=derivative, method=method)
+    return op.poisson_gradient(t, order, f, mode=derivative)
 
 
 @pytest.mark.parametrize("fix", ["lap1", "pert1_8", "cross2", "pert1_16"])
@@ -874,35 +881,40 @@ def test_ladder_matches_per_level(fix, request):
     rng = np.random.default_rng(23)
     f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     levels = TimeGrid.spanning(g).levels
-    cases = [("heat", "direct"), ("poisson", "direct")]
-    if fix == "lap1":
-        # the ladder takes every level in one product, the per-level call
-        # one level at a time, so they are compared to roundoff here
-        cases.append(("poisson", "subordination"))
-    for family, method in cases:
+    for family in ("heat", "poisson"):
         for derivative in ("none", "spatial", "full"):
             for order in (0, 1, 2):
-                got = op.ladder(family, order, derivative, levels, f, method=method)
+                got = op.ladder(family, order, derivative, levels, f)
                 ncomp = {"none": 1, "spatial": g.n, "full": g.n + 1}[derivative]
                 assert got.shape == (len(levels), ncomp, *g.shape)
                 for k, t in enumerate(levels):
-                    want = _per_level(op, family, order, derivative, t, f, method)
+                    want = _per_level(op, family, order, derivative, t, f)
                     # at large t the differences cancel the near-constant
                     # member, so both routes carry roundoff of the member's size
-                    member = _per_level(op, family, order, "none", t, f, method)
+                    member = _per_level(op, family, order, "none", t, f)
                     scale = max(np.linalg.norm(want), np.linalg.norm(member))
                     err = np.linalg.norm(got[k] - want) / scale
-                    assert err < 1e-12, (family, method, derivative, order, t)
+                    assert err < 1e-12, (family, derivative, order, t)
 
 
-def test_ladder_subordination_route(lap1):
-    g = lap1.grid
-    f = GridFunction(g, np.sin(2 * np.pi * g.cell_centers()[..., 0]) + 0j)
-    levels = (0.2, 0.4)
-    got = lap1.ladder("poisson", 1, "full", levels, f, method="subordination")
-    for k, t in enumerate(levels):
-        want = lap1.poisson_gradient(t, 1, f, mode="full", method="subordination")
-        assert np.array_equal(got[k], want)
+def test_ladder_subordination_route(lap1, pert1_16):
+    # the direct Poisson ladder against the subordination rule over the heat
+    # ladder, component by component, on the fft tier and the dense route;
+    # the 48-node rule lands at 1.8e-4 of the level's norm at worst here
+    levels = (0.5, 1.0)
+    for op in (lap1, pert1_16):
+        g = op.grid
+        rng = np.random.default_rng(53)
+        f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        for order in (0, 1):
+            got = op.ladder("poisson", order, "full", levels, f)
+            want = poisson_ladder(op, order, "full", levels, f)
+            assert want.shape == got.shape
+            for k in range(len(levels)):
+                scale = np.linalg.norm(got[k])
+                for c in range(g.n + 1):
+                    err = np.linalg.norm(want[k, c] - got[k, c]) / scale
+                    assert err < 1e-3, (g.N, order, k, c, err)
 
 
 def _random_batch(grid, size, seed):
@@ -924,17 +936,13 @@ def test_fft_ladder_batch_is_per_field(fix, request):
     g = op.grid
     batch = _random_batch(g, 3, 41)
     levels = TimeGrid.spanning(g).levels
-    cases = [(family, derivative, order, "direct") for family, derivative, order in MEMBERS]
-    if fix == "lap1":
-        cases += [("poisson", derivative, order, "subordination")
-                  for derivative in ("none", "full") for order in (0, 2)]
-    for family, derivative, order, method in cases:
-        got = op.ladder(family, order, derivative, levels, batch, method)
+    for family, derivative, order in MEMBERS:
+        got = op.ladder(family, order, derivative, levels, batch)
         ncomp = {"none": 1, "spatial": g.n, "full": g.n + 1}[derivative]
         assert got.shape == (len(levels), ncomp, len(batch), *g.shape)
         for b, f in enumerate(batch):
-            want = op.ladder(family, order, derivative, levels, f, method)
-            assert np.array_equal(got[:, :, b], want), (family, derivative, order, method, b)
+            want = op.ladder(family, order, derivative, levels, f)
+            assert np.array_equal(got[:, :, b], want), (family, derivative, order, b)
 
 
 @pytest.mark.parametrize("fix", ["pert1_8", "pert1_16", "herm1_16", "herm2_8"])
@@ -1006,24 +1014,21 @@ def test_spectral_symbols_built_once_per_ladder(monkeypatch, build):
     monkeypatch.setattr(el.EllipticOperator, "_symbol", symbol)
     levels = TimeGrid.spanning(g).levels
     members = [
-        # family, order, derivative, levels, method
-        ("heat", 1, "none", levels, "direct"),
-        ("heat", 0, "spatial", levels, "direct"),
-        ("heat", 0, "full", levels, "direct"),
-        ("heat", 1, "none", levels[1:], "direct"),
-        ("poisson", 1, "none", levels, "direct"),
-        ("poisson", 0, "full", levels, "direct"),
-        # one heat ladder of order 1 per subordination node
-        ("poisson", 1, "none", levels, "subordination"),
+        # family, order, derivative, levels
+        ("heat", 1, "none", levels),
+        ("heat", 0, "spatial", levels),
+        ("heat", 0, "full", levels),
+        ("heat", 1, "none", levels[1:]),
+        ("poisson", 1, "none", levels),
+        ("poisson", 0, "full", levels),
     ]
-    distinct = 6 + 48
+    distinct = 6
     rng = np.random.default_rng(37)
     for i in range(4):
         f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
-        for family, order, derivative, ladder, method in members:
-            got = op.ladder(family, order, derivative, ladder, f, method=method)
-            fresh = assemble(g, coeff).ladder(family, order, derivative, ladder, f,
-                                              method=method)
+        for family, order, derivative, ladder in members:
+            got = op.ladder(family, order, derivative, ladder, f)
+            fresh = assemble(g, coeff).ladder(family, order, derivative, ladder, f)
             assert got.tobytes() == fresh.tobytes(), (i, family, order, derivative)
         assert len(builds) == distinct, i
     assert len(set(builds)) == distinct
@@ -1041,8 +1046,6 @@ def test_ladder_validation(lap1):
         lap1.ladder("heat", 0, "none", (0.1, 0.0), f)
     with pytest.raises(ValueError, match="nonempty"):
         lap1.ladder("heat", 0, "none", (), f)
-    with pytest.raises(ValueError, match="unknown method"):
-        lap1.ladder("poisson", 0, "none", (0.1,), f, method="cayley")
     with pytest.raises(ValueError, match="grid-shaped array, or batch"):
         lap1.ladder("heat", 0, "none", (0.1,), np.ones((2, 3)))
 

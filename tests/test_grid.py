@@ -73,6 +73,19 @@ def test_ball_cells_enumeration_oracle():
             want = np.flatnonzero(torus_distance(centers, c) < r)
             assert np.array_equal(got, want)
             assert np.all(np.diff(got) > 0)
+    # centers on cell centers, radii equal to a cell-center distance: the
+    # strict < decides, so the distances must agree to the last bit
+    rng = np.random.default_rng(4)
+    for n, N in [(1, 16), (2, 16), (3, 8)]:
+        g = Grid(n, N)
+        centers = g.cell_centers().reshape(-1, n)
+        for _ in range(5):
+            c = centers[rng.integers(g.ncells)]
+            dist = torus_distance(centers, c)
+            for r in np.unique(dist[(dist > 0) & (dist <= 0.5)]):
+                got = ball_cells(g, c, r)
+                want = np.flatnonzero(dist < r)
+                assert np.array_equal(got, want), (n, N, r)
 
 
 def test_ball_cells_radius_half_and_monotonicity():
@@ -122,6 +135,10 @@ def test_lp_norm_homogeneity_and_validation():
         lp_norm_weighted(f, 1.0, 0.0)
     with pytest.raises(ValueError):
         lp_norm_array(f.values, np.zeros(g.shape), 2.0, g)
+    # a scalar weight is checked as an array weight is
+    for w in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            lp_norm_weighted(f, w, 2.0)
 
 
 def test_gridfunction_validation():

@@ -25,6 +25,7 @@ from conical_lab.weights import Weight, p_plus_Kstar, power_weight_in_Ar
 from conical_lab.elliptic import CoefficientField, assemble
 from conical_lab import squarefn as sf
 from conical_lab import tent
+from subordination_oracle import poisson_ladder
 
 
 @pytest.fixture(scope="module")
@@ -165,8 +166,8 @@ class TestEvaluate:
         assert F.values.shape[0] == len(tg.levels)
 
     def test_subordination_cross_check(self, lap1):
-        # the quadrature route on the operator must agree with the direct
-        # matrix functions the square function uses; the 48-node rule lands
+        # the subordination rule over the heat ladder must agree with the
+        # direct matrix functions the square function uses; the 48-node rule lands
         # at 4.2e-4 on this ladder (small times are the hard regime), so the
         # gate sits at 1e-3
         rng = np.random.default_rng(44)
@@ -174,8 +175,7 @@ class TestEvaluate:
         spec = sf.SquareFunctionSpec("s_p")
         tg = TimeGrid.spanning(lap1.grid)
         direct = sf.evaluate(lap1, spec, f).values.real
-        comps = lap1.ladder("poisson", spec.order, "none", tg.levels, f,
-                            method="subordination")
+        comps = poisson_ladder(lap1, spec.order, "none", tg.levels, f)
         F = UpperHalfField(lap1.grid, tg, np.abs(comps[:, 0]))
         sub = tent.cone_functional(F, tent.ConeParams(aperture=1.0, q=2.0)).values.real
         err = float(np.abs(direct - sub).max()) / float(direct.max())

@@ -485,6 +485,7 @@ class TestMain:
         ("angles", "s=0.5", ["branch=ii"]),
         # rejected as out of range, not as a ball that captures no cell
         ("offdiag", "radius=0", []),
+        ("angles", "seed=-1", ["branch=i"]),
     ])
     def test_out_of_range_key_is_config_error(self, experiment, bad, extra,
                                               tmp_path, capsys):
