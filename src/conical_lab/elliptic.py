@@ -28,14 +28,15 @@ only when it is read.
 Every family member goes through one seam: _symbol writes the spectral
 symbols and their time components, _apply evaluates a member at every time of
 a ladder on columns, in whichever tier the operator has, and _member adds
-the scaled gradients. The two spectral
-tiers project onto their unitary basis once (fftn over the grid axes, or
-V^H) and take all levels, time components included, from the stacked
-symbols and one map back (ifftn, or one matrix product with V); a ladder's
-stacked symbols are built once per operator, in the cache that holds the
-dense entries, so every later field on the same ladder reuses them. The dense
-fallback goes level by level in ascending order with a cached
-exponential per level and family, squared up from the one an octave below
+the scaled gradients. The Poisson family has one route, the principal-branch
+calculus of L: its symbol on the spectral tiers, sqrtm then expm on the
+dense one. The two spectral tiers project onto their unitary basis once
+(fftn over the grid axes, or V^H) and take all levels, time components
+included, from the stacked symbols and one map back (ifftn, or one matrix
+product with V); a ladder's stacked symbols are built once per operator, in
+the cache that holds the dense entries, so every later field on the same
+ladder reuses them. The dense fallback goes level by level in ascending
+order with a cached exponential per level and family, squared up from the one an octave below
 where the cache holds it (see EllipticOperator._expm), so on
 TimeGrid.spanning only the lowest three levels of each family call expm.
 A level with no octave below is a root: expm of -tau G / 2^s, with s the
