@@ -81,15 +81,6 @@ def torus_distance(x, y):
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-def torus_distance_chebyshev(x, y):
-    """Torus distance in the max (l-infinity) metric."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = np.abs(x - y) % 1.0
-    d = np.minimum(d, 1.0 - d)
-    return np.max(d, axis=-1)
-
-
 @dataclass
 class GridFunction:
     """Complex scalar field sampled at the cell centers of a grid."""

@@ -229,10 +229,6 @@ class DyadicCube:
     side: float
     dist: float
 
-    def cell_slices(self, grid):
-        m = grid.N >> self.level
-        return tuple(slice(c * m, (c + 1) * m) for c in self.corner)
-
 
 def chebyshev_to_complement(mask, grid):
     """Torus Chebyshev distance from every cell center to the nearest cell

@@ -79,9 +79,11 @@ def _parse_scalar(key, value):
         if key in _FLOAT_KEYS:
             return float(value)
         if key in _TUPLE_KEYS:
-            return tuple(float(x) for x in value.split(",") if x.strip())
+            value = tuple(float(x) for x in value.split(",") if x.strip())
     except ValueError:
         raise ConfigError(f"cannot parse {key} = {value!r}") from None
+    if value == ():
+        raise ConfigError(f"{key} needs at least one entry")
     return value
 
 
@@ -156,11 +158,9 @@ class ExperimentConfig:
 
     # ------------------------------------------------------------ builders
 
-    def build_grid(self, default_n=1, default_N=32, halve=False):
+    def build_grid(self, default_n=1, default_N=32):
         n = self.n if self.n is not None else default_n
         N = self.N if self.N is not None else default_N
-        if halve:
-            N //= 2
         try:
             return Grid(n, N)
         except ValueError as exc:
@@ -208,7 +208,10 @@ class ExperimentConfig:
     def build_weight(self, grid):
         if self.theta != 0.0 and not self.theta < grid.n:
             raise ConfigError(f"theta = {self.theta} must stay below n = {grid.n}")
-        return Weight.power_law(grid, self.theta, self.center)
+        try:
+            return Weight.power_law(grid, self.theta, self.center)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def count(self, default):
         return self.samples if self.samples is not None else default

@@ -20,17 +20,21 @@ from conical_lab.grid import (
     TimeGrid,
     UpperHalfField,
     lp_norm_weighted,
-    torus_distance_chebyshev,
 )
 from conical_lab.weights import (
     BallFamily,
     Weight,
     admissible_interval,
-    estimate_Ap_constant,
-    estimate_RHs_constant,
     p_plus_Kstar,
     power_weight_in_Ar,
     power_weight_in_RHs,
+)
+from oracles import (
+    at_resolution,
+    cell_slices,
+    estimate_Ap_constant,
+    estimate_RHs_constant,
+    torus_distance_chebyshev,
 )
 from subordination_oracle import poisson_ladder
 
@@ -282,7 +286,7 @@ def test_11_weight_analytics():
     disagreements = []
     for theta, kind, expo, _ in probes:
         w = Weight.power_law(Grid(n, N), theta)
-        wc = w.at_resolution(N // 2)
+        wc = at_resolution(w, N // 2)
         fam, famc = (BallFamily.dense_dyadic(v.grid) for v in (w, wc))
         if kind == "A":
             inside = power_weight_in_Ar(theta, n, expo)
@@ -321,7 +325,7 @@ def test_12_whitney_properties():
         # exact partition of the mask
         counts = np.zeros(grid.shape, dtype=int)
         for q in cubes:
-            counts[q.cell_slices(grid)] += 1
+            counts[cell_slices(q, grid)] += 1
         assert np.array_equal(counts, mask.astype(int))
         # size against distance to the complement
         for q in cubes:

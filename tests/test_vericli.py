@@ -504,6 +504,10 @@ class TestMain:
         ("offdiag", ["separations=0.12,0.18,1.24"], "separation 1.24 is outside"),
         ("angles", ["branch=i", "apertures=0.25"], "two apertures that differ"),
         ("sharpness", ["apertures=2,2"], "two apertures that differ"),
+        ("boundedness", ["p_list="], "p_list needs at least one entry"),
+        ("angles", ["branch=i", "center=0.1,0.2,0.3"], "center (0.1, 0.2, 0.3) does not have n = 2"),
+        ("angles", ["branch=i", "center=0.5"], "center (0.5,) does not have n = 2"),
+        ("angles", ["branch=i", "n=1", "center=0.1,0.2"], "center (0.1, 0.2) does not have n = 1"),
     ])
     def test_degenerate_geometry_is_config_error(self, experiment, items, message,
                                                  tmp_path, capsys):

@@ -17,14 +17,18 @@ from conical_lab.weights import (
     BallFamily,
     Weight,
     admissible_interval,
-    estimate_Ap_constant,
-    estimate_critical_exponents,
-    estimate_RHs_constant,
     hl_maximal,
     p_plus_Kstar,
     power_weight_exponents,
     power_weight_in_Ar,
     power_weight_in_RHs,
+)
+from oracles import (
+    at_resolution,
+    estimate_Ap_constant,
+    estimate_critical_exponents,
+    estimate_RHs_constant,
+    iter_balls,
 )
 
 
@@ -99,7 +103,7 @@ def rough_weight(g16):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7])
 def test_ap_constant_matches_bruteforce(g16, fam16, rough_weight, p):
-    balls = list(fam16.iter_balls())
+    balls = list(iter_balls(fam16))
     for w in (Weight.power_law(g16, 1.0), rough_weight):
         ref = brute_ap(w, p, balls)
         fast = estimate_Ap_constant(w, p, fam16)
@@ -108,7 +112,7 @@ def test_ap_constant_matches_bruteforce(g16, fam16, rough_weight, p):
 
 @pytest.mark.parametrize("s", [1.5, 2.0, 3.7, math.inf])
 def test_rh_constant_matches_bruteforce(g16, fam16, rough_weight, s):
-    balls = list(fam16.iter_balls())
+    balls = list(iter_balls(fam16))
     for w in (Weight.power_law(g16, -2.0), rough_weight):
         ref = brute_rh(w, s, balls)
         fast = estimate_RHs_constant(w, s, fam16)
@@ -224,7 +228,7 @@ def test_power_weight_exponents_formulas():
 
 def _blows_up(theta, kind, expo, N=32, ratio=1.5):
     wf = Weight.power_law(Grid(2, N), theta)
-    wc = wf.at_resolution(N // 2)
+    wc = at_resolution(wf, N // 2)
     ff = BallFamily.dense_dyadic(wf.grid)
     fc = BallFamily.dense_dyadic(wc.grid)
     est = estimate_Ap_constant if kind == "Ap" else estimate_RHs_constant
@@ -319,7 +323,7 @@ def test_p_plus_kstar_branches():
 def test_hl_maximal_matches_bruteforce(g16, fam16):
     rng = np.random.default_rng(3)
     f = rng.normal(size=g16.shape) + 1j * rng.normal(size=g16.shape)
-    balls = list(fam16.iter_balls())
+    balls = list(iter_balls(fam16))
     for p0 in (0.5, 1.0, 2.0):
         ref = brute_maximal(f, p0, balls, g16)
         fast = hl_maximal(GridFunction(g16, f), p0, fam16)
@@ -355,7 +359,7 @@ def test_hl_maximal_dominates_single_ball_averages(g16):
     assert len(fam.radii) == 5
     out = hl_maximal(f, 1.0, fam).ravel()
     flat = np.abs(f).ravel()
-    for c, r in fam.iter_balls():
+    for c, r in iter_balls(fam):
         idx = ball_cells(g16, c, r)
         assert np.all(out[idx] >= flat[idx].mean() - 1e-13)
 
@@ -381,6 +385,10 @@ def test_weight_validation(g16):
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         Weight(g16, bad)
+    # a center needs one coordinate per axis
+    for grid, center in ((g16, (0.5,)), (g16, (0.1, 0.2, 0.3)), (Grid(1, 16), (0.1, 0.2))):
+        with pytest.raises(ValueError, match="coordinates"):
+            Weight.power_law(grid, 1.0, center)
 
 
 def test_power_weight_descriptor_consistency(g16):
@@ -389,17 +397,17 @@ def test_power_weight_descriptor_consistency(g16):
     w = Weight.power_law(g16, 1.3, center=(0.25, 0.5))
     d = torus_distance(g16.cell_centers(), np.array([0.25, 0.5]))
     np.testing.assert_array_equal(w.values, np.maximum(d, g16.h / 2) ** -1.3)
-    fine = w.at_resolution(32)
+    fine = at_resolution(w, 32)
     assert fine.grid.N == 32 and fine.power == w.power
 
 
 def test_tabulated_weight_coarsens_by_block_average(rough_weight):
-    coarse = rough_weight.at_resolution(8)
+    coarse = at_resolution(rough_weight, 8)
     v = rough_weight.values
     ref = 0.25 * (v[0::2, 0::2] + v[0::2, 1::2] + v[1::2, 0::2] + v[1::2, 1::2])
     np.testing.assert_allclose(coarse.values, ref, rtol=1e-14)
     with pytest.raises(ValueError):
-        rough_weight.at_resolution(64)
+        at_resolution(rough_weight, 64)
 
 
 def test_ball_family_validation(g16):
@@ -425,7 +433,7 @@ def test_dense_dyadic_enumeration(n):
     assert fam.radii == (0.125, 0.25, 0.5)
     centers = (np.indices(grid.shape).reshape(n, -1).T + 0.5) / grid.N
     want = [(c, r) for c in centers for r in (0.125, 0.25, 0.5)]
-    got = list(fam.iter_balls())
+    got = list(iter_balls(fam))
     assert len(got) == len(fam) == len(want) == grid.ncells * 3
     for (c, r), (c_ref, r_ref) in zip(got, want):
         np.testing.assert_array_equal(c, c_ref)
