@@ -27,7 +27,7 @@ def main():
         val = lp_norm_weighted(squarefn.evaluate(op, spec, f), 1.0, 2.0)
         print(f"{family:>8} {spec.order:>5} {val / base:>11.4f}")
 
-    rep = squarefn.pointwise_domination_report(op, f, orders=(0, 1, 2))
+    rep = squarefn.pointwise_domination_report(op, f)
     print(f"worst domination violation: {rep.max_violation:.1e}")
     print(f"factor-two time identity error: {rep.time_identity_error:.1e}")
 

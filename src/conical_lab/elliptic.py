@@ -583,14 +583,13 @@ class SemigroupRequest:
             raise ValueError("time must be positive")
 
 
-def offdiagonal_opnorm(op, request, E, F, p=2.0):
-    """||chi_F T chi_E|| from l^p on E to the mixed norm (l2 over components,
-    l^p over cells) on F, for the member T that request names.
+def offdiagonal_opnorm(op, request, E, F):
+    """||chi_F T chi_E|| from l2 on E to l2 on F (l2 over components too),
+    for the member T that request names.
 
     The restricted block takes one ladder call on the batch of |E| unit
-    fields of E; its rows on F go to _matrix_pnorm, which is exact at p = 2,
-    and at p = 1 and p = inf for scalar members, and raises ValueError at
-    any other p.
+    fields of E; the norm of its rows on F is its largest singular value,
+    exact up to the SVD's roundoff.
     """
     E = np.unique(np.asarray(E, dtype=int))
     F = np.unique(np.asarray(F, dtype=int))
@@ -605,17 +604,4 @@ def offdiagonal_opnorm(op, request, E, F, p=2.0):
     comps = fields.shape[0]
     # rows: component-major blocks of the cells of F; columns: the cells of E
     block = fields.reshape(comps, E.size, -1)[:, :, F].transpose(0, 2, 1)
-    return _matrix_pnorm(block.reshape(comps * F.size, E.size), p, ncomp=comps)
-
-
-def _matrix_pnorm(B, p, ncomp=1):
-    """Operator norm from l^p to the mixed (l2 over ncomp blocks, l^p over
-    cells) norm, in its exact cases: p = 2, and p = 1 or inf for scalar
-    output. Uniform cell weights cancel, so plain vector norms suffice."""
-    if p == 2:
-        return float(np.linalg.norm(B, 2))
-    if ncomp == 1 and p == 1:
-        return float(np.abs(B).sum(axis=0).max())
-    if ncomp == 1 and math.isinf(p):
-        return float(np.abs(B).sum(axis=1).max())
-    raise ValueError("exact norms only at p = 2, or p = 1 or inf for scalar members")
+    return float(np.linalg.norm(block.reshape(comps * F.size, E.size), 2))

@@ -97,9 +97,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.values.view(float))):
             raise ValueError("values must be finite")
 
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy())
-
 
 def ball_cells(grid, center, radius):
     """Flat indices (row major, ascending) of cells with centers in B(center, radius).
@@ -124,25 +121,18 @@ def ball_cells(grid, center, radius):
 def lp_norm_weighted(f, w, p):
     """Weighted norm (sum |f|^p w h^n)^(1/p) for p > 0.
 
-    f may be a GridFunction or a plain array over the grid; w is a positive
-    array over the same cells (pass 1.0 for Lebesgue measure).
+    f is a GridFunction; w is a positive array over the same cells (pass 1.0
+    for Lebesgue measure).
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    if isinstance(f, GridFunction):
-        grid, vals = f.grid, f.values
-    else:
-        raise TypeError("f must be a GridFunction; use lp_norm_array for raw arrays")
-    return lp_norm_array(vals, w, p, grid)
-
-
-def lp_norm_array(values, w, p, grid):
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not isinstance(f, GridFunction):
+        raise TypeError("f must be a GridFunction")
     w = np.asarray(w, dtype=float)
     if not np.all(w > 0):
         raise ValueError("weight must be strictly positive")
-    return float(np.sum(np.abs(values) ** p * w) * grid.h**grid.n) ** (1.0 / p)
+    grid = f.grid
+    return float(np.sum(np.abs(f.values) ** p * w) * grid.h**grid.n) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -192,12 +182,12 @@ class TimeGrid:
         return cls(grid, tuple(t0 * ratio**k for k in range(count)))
 
     @classmethod
-    def spanning(cls, grid, t_min=None, t_max=0.5, per_octave=3):
-        """Ladder from t_min (default h/2) up to at most t_max."""
-        t0 = grid.h / 2 if t_min is None else t_min
-        ratio = 2.0 ** (1.0 / per_octave)
-        count = int(np.floor(np.log(t_max / t0) / np.log(ratio))) + 1
-        return cls.geometric(grid, t0, ratio, max(count, 2))
+    def spanning(cls, grid):
+        """Ladder from h/2 up to at most 1/2, three levels per octave."""
+        t0 = grid.h / 2
+        ratio = 2.0 ** (1.0 / 3)
+        count = int(np.floor(np.log(0.5 / t0) / np.log(ratio))) + 1
+        return cls.geometric(grid, t0, ratio, count)
 
 
 @dataclass

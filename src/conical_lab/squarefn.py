@@ -31,13 +31,13 @@ class SquareFunctionSpec:
 
     order is the extra power of (t^2 L) or (t sqrt(L))^2 in the integrand;
     the s-families need at least one, the gradient families accept zero.
-    When order is omitted it resolves to that minimum. aperture scales the
-    cone; the time ladder defaults to the one spanning the operator's grid.
+    When order is omitted it resolves to that minimum. The cone has
+    aperture one; the time ladder defaults to the one spanning the
+    operator's grid.
     """
 
     family: str
     order: int | None = None
-    aperture: float = 1.0
     tgrid: TimeGrid | None = None
 
     def __post_init__(self):
@@ -53,8 +53,6 @@ class SquareFunctionSpec:
                 f"family {self.family!r} needs an integer order >= {least}"
             )
         object.__setattr__(self, "order", int(self.order))
-        if not self.aperture > 0:
-            raise ValueError("aperture must be positive")
 
 
 def integrand_field(op, spec, f):
@@ -77,7 +75,7 @@ def integrand_field(op, spec, f):
 def evaluate(op, spec, f):
     """The conical square function of f as a grid function."""
     F = integrand_field(op, spec, f)
-    return cone_functional(F, ConeParams(aperture=spec.aperture, q=2.0))
+    return cone_functional(F, ConeParams(aperture=1.0, q=2.0))
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ class DominationReport:
     """Largest pointwise violations of the structural inequalities.
 
     The gradient entries compare the spatial-gradient family against the
-    space-time one at each requested order and semigroup; s_vs_gcal_heat
+    space-time one at each order in orders and for both semigroups; s_vs_gcal_heat
     checks s (order one) against twice gcal (order zero), which holds
     because the time component of the order-zero space-time gradient is
     exactly twice the s-integrand. time_identity_error records how exactly
@@ -111,9 +109,11 @@ class DominationReport:
         return self.max_violation <= 1e-12
 
 
-def pointwise_domination_report(op, f, orders=(0, 1, 2), tgrid=None):
-    """Check the component-subset and factor-two dominations cell by cell."""
-    tg = tgrid if tgrid is not None else TimeGrid.spanning(op.grid)
+def pointwise_domination_report(op, f):
+    """Check the component-subset and factor-two dominations cell by cell,
+    at orders 0, 1 and 2 on the ladder spanning the operator's grid."""
+    orders = (0, 1, 2)
+    tg = TimeGrid.spanning(op.grid)
     cone = ConeParams(aperture=1.0, q=2.0)
     grid = op.grid
 
@@ -133,9 +133,6 @@ def pointwise_domination_report(op, f, orders=(0, 1, 2), tgrid=None):
             if semigroup == "heat" and m == 0:
                 heat_zero_time, heat_zero_full = np.abs(comps[:, -1]), full_mags
 
-    if heat_zero_full is None:
-        raise ValueError("orders must include 0 for the factor-two check")
-
     # t d/dt e^{-t^2 L} = -2 (t^2 L) e^{-t^2 L}: the order-one s-integrand
     # is half the time component of the order-zero space-time gradient
     s_mags = np.abs(op.ladder("heat", 1, "none", tg.levels, f)[:, 0])
@@ -147,5 +144,5 @@ def pointwise_domination_report(op, f, orders=(0, 1, 2), tgrid=None):
         gradient_violation_poisson=float(max(0.0, worst["poisson"])),
         s_vs_gcal_heat=float(max(0.0, s_gap.max())),
         time_identity_error=ident,
-        orders=tuple(orders),
+        orders=orders,
     )

@@ -23,53 +23,34 @@ from .weights import hl_maximal
 
 @dataclass(frozen=True)
 class ConeParams:
-    """Aperture, integrability exponent, and optional time truncation."""
+    """Aperture and integrability exponent of a cone over every time level."""
 
     aperture: float
     q: float = 2.0
-    t_lo: float | None = None
-    t_hi: float | None = None
 
     def __post_init__(self):
         if self.aperture <= 0:
             raise ValueError("aperture must be positive")
         if self.q <= 0:
             raise ValueError("q must be positive")
-        if self.t_lo is not None and self.t_hi is not None and self.t_lo > self.t_hi:
-            raise ValueError("t_lo must not exceed t_hi")
-        if self.t_hi is not None and self.aperture * self.t_hi > 0.5 + 1e-12:
-            raise ValueError(
-                f"aperture {self.aperture} * t_hi {self.t_hi} exceeds 1/2; "
-                "cone cross-sections would wrap around the torus")
-
-
-def _selected_levels(tgrid, params):
-    lo = tgrid.levels[0] if params.t_lo is None else params.t_lo
-    hi = tgrid.levels[-1] if params.t_hi is None else params.t_hi
-    idx = [k for k, t in enumerate(tgrid.levels) if lo - 1e-12 <= t <= hi + 1e-12]
-    if not idx:
-        raise ValueError("time range selects no levels")
-    return idx
 
 
 def cone_functional(F, params):
     """Aperture-alpha cone functional of an upper-half-space field.
 
     At each cell x: (sum_k sum_{d(y,x) < alpha t_k} |F(y,t_k)|^q
-    h^n dlog / t_k^n)^{1/q}, levels k restricted to the params time range.
+    h^n dlog / t_k^n)^{1/q}, summed over every level k of the ladder.
     """
     alpha, q = params.aperture, params.q
     grid, tg = F.grid, F.tgrid
-    idx = _selected_levels(tg, params)
-    t_top = tg.levels[idx[-1]]
+    t_top = tg.levels[-1]
     if alpha * t_top > 0.5 + 1e-12:
         raise ValueError(
             f"aperture {alpha} * top level {t_top} exceeds 1/2; "
             "cone cross-sections would wrap around the torus")
-    times = [tg.levels[k] for k in idx]
-    levels = ball_sum(np.abs(F.values[idx]) ** q, [min(alpha * t, 0.5) for t in times])
+    levels = ball_sum(np.abs(F.values) ** q, [min(alpha * t, 0.5) for t in tg.levels])
     acc = np.zeros(grid.shape)
-    for t, level in zip(times, levels):
+    for t, level in zip(tg.levels, levels):
         acc += (tg.dlog * (grid.h / t) ** grid.n) * level
     return GridFunction(grid, acc ** (1.0 / q))
 

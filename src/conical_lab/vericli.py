@@ -77,13 +77,19 @@ def _parse_scalar(key, value):
         if key in _INT_KEYS:
             return int(value)
         if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _TUPLE_KEYS:
+            value = float(value)
+        elif key in _TUPLE_KEYS:
             value = tuple(float(x) for x in value.split(",") if x.strip())
+        else:
+            return value
     except ValueError:
         raise ConfigError(f"cannot parse {key} = {value!r}") from None
     if value == ():
         raise ConfigError(f"{key} needs at least one entry")
+    # inf clears every lower bound, and as a tolerance it passes any check
+    for v in value if isinstance(value, tuple) else (value,):
+        if not math.isfinite(v):
+            raise ConfigError(f"{key} = {v} must be finite")
     return value
 
 
@@ -199,9 +205,8 @@ class ExperimentConfig:
             return TimeGrid.spanning(grid)
         if None in (self.t0, self.ratio, self.levels):
             raise ConfigError("a custom time grid needs t0, ratio, and levels")
-        ladder = [self.t0 * self.ratio**k for k in range(self.levels)]
         try:
-            return TimeGrid(grid, tuple(ladder))
+            return TimeGrid.geometric(grid, self.t0, self.ratio, self.levels)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -279,11 +284,10 @@ class ResultTable:
     def all_pass(self):
         return self.counts["fail"] == 0
 
-    def to_csv(self, timestamp=True):
+    def to_csv(self):
         buf = io.StringIO()
-        if timestamp:
-            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-            buf.write(f"# generated {stamp}\n")
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        buf.write(f"# generated {stamp}\n")
         writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in self.rows:

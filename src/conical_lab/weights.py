@@ -59,10 +59,6 @@ class Weight:
             raise ValueError("weight must be finite and strictly positive")
 
     @classmethod
-    def ones(cls, grid):
-        return cls(grid, np.ones(grid.shape))
-
-    @classmethod
     def power_law(cls, grid, theta, center=None):
         """w_theta(x) = max(d(x, center), h/2)^(-theta), default center 0."""
         if center is None:
@@ -101,16 +97,13 @@ class BallFamily:
         return self.grid.ncells * len(self.radii)
 
     @classmethod
-    def dense_dyadic(cls, grid, r_min=None, r_max=0.5):
-        """Every cell center paired with every dyadic radius 2h, 4h, ... <= r_max."""
-        h = grid.h
-        r = 2 * h if r_min is None else r_min
+    def dense_dyadic(cls, grid):
+        """Every cell center paired with every dyadic radius 2h, 4h, ... <= 1/2."""
+        r = 2 * grid.h
         radii = []
-        while r <= r_max + 1e-15:
+        while r <= 0.5 + 1e-15:
             radii.append(r)
             r *= 2
-        if not radii:
-            raise ValueError("no dyadic radii in range")
         return cls(grid, radii)
 
 

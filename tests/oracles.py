@@ -167,8 +167,13 @@ def estimate_critical_exponents(w, family=None, tol=0.25, cap=16.0, blowup=1.5):
     if grid.N < 16:
         raise ValueError("need N >= 16 so that N/2 still admits dyadic balls")
     w_fine, w_coarse = w, at_resolution(w, grid.N // 2)
-    r_lo = family.radii[0] if family is not None else None
-    fam_fine = BallFamily.dense_dyadic(grid, r_min=r_lo)
+    # the fine family's dyadic radii start at the smallest radius of family
+    r = family.radii[0] if family is not None else 2 * grid.h
+    radii = []
+    while r <= 0.5 + 1e-15:
+        radii.append(r)
+        r *= 2
+    fam_fine = BallFamily(grid, radii)
     fam_coarse = BallFamily.dense_dyadic(w_coarse.grid)
 
     def ap_blows(r):

@@ -13,7 +13,6 @@ from conical_lab.grid import (
     ball_cells,
     ball_max,
     ball_sum,
-    lp_norm_array,
     lp_norm_weighted,
     read_gridfunction,
     torus_distance,
@@ -134,7 +133,7 @@ def test_lp_norm_homogeneity_and_validation():
     with pytest.raises(ValueError):
         lp_norm_weighted(f, 1.0, 0.0)
     with pytest.raises(ValueError):
-        lp_norm_array(f.values, np.zeros(g.shape), 2.0, g)
+        lp_norm_weighted(f, np.zeros(g.shape), 2.0)
     # a scalar weight is checked as an array weight is
     for w in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):

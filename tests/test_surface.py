@@ -1,10 +1,13 @@
 """No code without a caller: every public function, class and method of the
-package is referenced by the package itself, a demo or a perfbench script.
+package is referenced by the package itself, a demo or a perfbench script,
+and every option of the package is set by one of them.
 
-Names that only tests reach belong in tests/oracles.py. The scan is by name
-(ast Name, Attribute and import alias nodes), so it catches a public name
-that nothing outside tests mentions; it cannot tell two same-named methods
-apart.
+Names that only tests reach belong in tests/oracles.py. The name scan is by
+name (ast Name, Attribute and import alias nodes), so it catches a public
+name that nothing outside tests mentions; it cannot tell two same-named
+methods apart. The option scan matches calls the same way: a call of a
+function, method or class by its name may pass a defaulted parameter or
+dataclass field by keyword, by position, or through * or ** unpacking.
 """
 
 import ast
@@ -57,3 +60,123 @@ def test_every_public_name_has_a_caller():
                 for qual, name in _public_definitions(path)
                 if name not in referenced and qual not in ALLOWED]
     assert uncalled == []
+
+
+# ------------------------------------------------------------------ options
+
+
+def _name(node):
+    """The name a call or decorator uses: f(...), obj.f(...), @f or @f(...)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _function_options(fn, skip):
+    """(parameter, position or None) of each defaulted parameter of fn;
+    position counts the arguments a call writes, after the skip bound ones."""
+    args = fn.args.posonlyargs + fn.args.args
+    first = len(args) - len(fn.args.defaults)
+    for i, arg in enumerate(args[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _dataclass_options(cls, field_names):
+    """(field, position) of each defaulted dataclass field; a field(...)
+    default is state built per instance, not an option, and is skipped."""
+    fields = [s for s in cls.body
+              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    for i, stmt in enumerate(fields):
+        value = stmt.value
+        if value is None or (isinstance(value, ast.Call)
+                             and _name(value) in field_names):
+            continue
+        yield stmt.target.id, i
+
+
+def _options(path):
+    """(qualified name, callee name, parameter, position) of every option of
+    the public functions, methods and dataclasses defined in path."""
+    tree = ast.parse(path.read_text())
+    # the local names of dataclasses.field, e.g. "field as dfield"
+    field_names = {a.asname or a.name for node in tree.body
+                   if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                   for a in node.names if a.name == "field"}
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            for param, pos in _function_options(node, 0):
+                yield node.name, node.name, param, pos
+            continue
+        if "dataclass" in map(_name, node.decorator_list):
+            for param, pos in _dataclass_options(node, field_names):
+                yield node.name, node.name, param, pos
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef):
+                continue
+            if item.name == "__init__":
+                callee = node.name  # a constructor is called by its class
+            elif item.name.startswith("_"):
+                continue
+            else:
+                callee = item.name
+            bound = 0 if "staticmethod" in map(_name, item.decorator_list) else 1
+            for param, pos in _function_options(item, bound):
+                yield f"{node.name}.{item.name}", callee, param, pos
+
+
+class _Calls(ast.NodeVisitor):
+    """Every call in a file as (callee name, positions, keywords); positions
+    is the count of plain positional arguments, or None when a * argument
+    may fill any position, and keywords is None when ** may pass any."""
+
+    def __init__(self):
+        self.calls = []
+        self.classes = []
+
+    def visit_ClassDef(self, node):
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_Call(self, node):
+        name = _name(node)
+        if name == "cls" and isinstance(node.func, ast.Name) and self.classes:
+            name = self.classes[-1]
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        self.calls.append((name, None if starred else len(node.args),
+                           None if None in keywords else keywords))
+        self.generic_visit(node)
+
+
+def _calls():
+    visitor = _Calls()
+    for path in _caller_files():
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+    return visitor.calls
+
+
+def _is_set(callee, param, pos, calls):
+    for name, positions, keywords in calls:
+        if name != callee:
+            continue
+        if keywords is None or param in keywords:
+            return True
+        if pos is not None and (positions is None or pos < positions):
+            return True
+    return False
+
+
+def test_every_option_has_a_caller():
+    # an option that no program path sets is a constant: write it as one
+    calls = _calls()
+    unset = [f"{path.stem}.{qual}({param}=)"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for qual, callee, param, pos in _options(path)
+             if not _is_set(callee, param, pos, calls)]
+    assert unset == []

@@ -20,6 +20,11 @@ def make(text="", **overrides):
     )
 
 
+def csv_body(table):
+    """The table's CSV below its timestamp line."""
+    return table.to_csv().split("\n", 1)[1]
+
+
 class TestConfig:
     def test_comments_and_blanks(self):
         cfg = ExperimentConfig.parse(
@@ -114,7 +119,7 @@ class TestResultTable:
     def test_csv_schema(self):
         t = ResultTable()
         t.add("exp", {"b": 2, "a": 1}, 1.5, 2.5, "derived", 0.1, "pass")
-        rows = list(csv.reader(io.StringIO(t.to_csv(timestamp=False))))
+        rows = list(csv.reader(io.StringIO(csv_body(t))))
         assert rows[0] == list(vericli.CSV_COLUMNS)
         assert rows[1][0] == "exp"
         assert json.loads(rows[1][1]) == {"a": 1, "b": 2}
@@ -124,7 +129,7 @@ class TestResultTable:
     def test_param_json_key_order_is_sorted(self):
         t = ResultTable()
         t.add("exp", {"z": 1, "a": 2}, 0, 0, "paper", 0, "info")
-        line = t.to_csv(timestamp=False).splitlines()[1]
+        line = csv_body(t).splitlines()[1]
         assert '""a"": 2, ""z"": 1' in line
 
     def test_timestamp_header(self, tmp_path):
@@ -139,7 +144,7 @@ class TestResultTable:
     def test_nan_reference_round_trips(self):
         t = ResultTable()
         t.info("exp", {}, 1.0)
-        row = list(csv.reader(io.StringIO(t.to_csv(timestamp=False))))[1]
+        row = list(csv.reader(io.StringIO(csv_body(t))))[1]
         assert math.isnan(float(row[3]))
 
 
@@ -386,16 +391,14 @@ class TestDeterminism:
     ], ids=["carleson", "comparisons-perturbed"])
     def test_same_seed_same_bytes(self, run, text):
         cfg = make(text)
-        a = run(cfg).to_csv(timestamp=False)
-        b = run(cfg).to_csv(timestamp=False)
+        a = csv_body(run(cfg))
+        b = csv_body(run(cfg))
         assert a == b
 
     def test_seed_changes_results(self):
-        a = vericli.run_carleson_suite(
-            make("N = 16\nsamples = 4")).to_csv(timestamp=False)
-        b = vericli.run_carleson_suite(
-            ExperimentConfig.parse("seed = 99\nN = 16\nsamples = 4")
-        ).to_csv(timestamp=False)
+        a = csv_body(vericli.run_carleson_suite(make("N = 16\nsamples = 4")))
+        b = csv_body(vericli.run_carleson_suite(
+            ExperimentConfig.parse("seed = 99\nN = 16\nsamples = 4")))
         assert a != b
 
 
@@ -508,11 +511,19 @@ class TestMain:
         ("angles", ["branch=i", "center=0.1,0.2,0.3"], "center (0.1, 0.2, 0.3) does not have n = 2"),
         ("angles", ["branch=i", "center=0.5"], "center (0.5,) does not have n = 2"),
         ("angles", ["branch=i", "n=1", "center=0.1,0.2"], "center (0.1, 0.2) does not have n = 1"),
+        ("boundedness", ["p_list=1.5,inf"], "p_list = inf must be finite"),
+        ("carleson", ["drift=inf"], "drift = inf must be finite"),
+        ("carleson", ["margin=inf"], "margin = inf must be finite"),
+        ("sharpness", ["tol=inf"], "tol = inf must be finite"),
+        ("angles", ["branch=ii", "s=inf"], "s = inf must be finite"),
+        ("angles", ["branch=i", "theta=nan"], "theta = nan must be finite"),
+        ("offdiag", ["separations=0.12,-inf,0.3"], "separations = -inf must be finite"),
     ])
     def test_degenerate_geometry_is_config_error(self, experiment, items, message,
                                                  tmp_path, capsys):
         # separations that wrap the torus or repeat, and a lone aperture,
-        # leave nothing to compare
+        # leave nothing to compare; a number that is not finite passes
+        # every range check and would turn verdicts into passes
         argv = [experiment, "--out", str(tmp_path)]
         for item in ("seed=1", *items):
             argv += ["--set", item]
