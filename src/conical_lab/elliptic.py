@@ -61,15 +61,11 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 import scipy.linalg as sla
 
-from .grid import MAGIC, GridFunction, _parse_header
+from .grid import Grid, GridFunction
 
 
 class EllipticityError(ValueError):
     """Coefficient field fails the lower ellipticity bound."""
-
-    def __init__(self, msg, cell=None):
-        super().__init__(msg)
-        self.cell = cell
 
 
 # ------------------------------------------------------------ coefficients
@@ -101,14 +97,27 @@ def _ctr(arr, n, j, h):
     return (np.roll(arr, -1, axis=ax) - np.roll(arr, 1, axis=ax)) / (2 * h)
 
 
+# coefficient files: a 16-byte header (magic, u32 n, u32 N, 4 reserved
+# bytes), then row-major float64 little-endian (re, im) pairs
+MAGIC = b"CLGF"
+HEADER_BYTES = 16
+
+
+def _parse_header(raw, path):
+    if len(raw) < HEADER_BYTES or raw[:4] != MAGIC:
+        raise ValueError(f"{path}: not a coefficient file (bad magic)")
+    n, N = struct.unpack("<II", raw[4:12])
+    return Grid(int(n), int(N)), raw[HEADER_BYTES:]
+
+
 @dataclass
 class CoefficientField:
     """Complex n x n coefficient matrix per cell, rows sampled at faces.
 
     values[..., j, k] holds A_jk evaluated at the face center x + (h/2) e_j
     of the cell at x. Ellipticity is measured on these samples: lam is the
-    smallest eigenvalue of the symmetric part of Re A over all cells, Lam
-    the largest operator norm of A.
+    smallest eigenvalue of the symmetric part of Re A over all cells, taken
+    at the cell lam_cell.
     """
 
     grid: Grid
@@ -128,7 +137,6 @@ class CoefficientField:
         flat_argmin = int(np.argmin(mins))
         self.lam = float(mins.ravel()[flat_argmin])
         self.lam_cell = tuple(int(i) for i in np.unravel_index(flat_argmin, self.grid.shape))
-        self.Lam = float(np.linalg.svd(self.values, compute_uv=False).max())
 
     @classmethod
     def constant(cls, grid, matrix):
@@ -155,8 +163,8 @@ class CoefficientField:
 
     @classmethod
     def from_file(cls, path):
-        """Binary layout: GridFunction header, then n*n full fields (channel
-        A_jk at block index j*n + k, each row-major)."""
+        """Binary layout: the coefficient-file header, then n*n full fields
+        (channel A_jk at block index j*n + k, each row-major)."""
         with open(path, "rb") as fh:
             raw = fh.read()
         grid, payload = _parse_header(raw, path)
@@ -229,8 +237,6 @@ class EllipticOperator:
         self.grid = grid
         self.coeff = coeff
         self.report = report
-        self.lam = coeff.lam
-        self.Lam = coeff.Lam
         self._V = V
         self._eigs = eigs
         self._cache = {} if matrix is None else {"matrix": matrix}
@@ -537,7 +543,7 @@ def assemble(grid, coeff):
     if coeff.lam <= 0:
         raise EllipticityError(
             f"ellipticity fails: min eigenvalue of sym Re A is {coeff.lam:.3e} "
-            f"at cell {coeff.lam_cell}", cell=coeff.lam_cell)
+            f"at cell {coeff.lam_cell}")
     cells = coeff.values.reshape(-1, grid.n, grid.n)
     if np.all(cells == cells[0]):
         # circulant: the DFT of the image of the unit field at cell 0

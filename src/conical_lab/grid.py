@@ -13,15 +13,11 @@ Radii above 1/2 are rejected, everything on the torus is within sqrt(n)/2.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
-
-MAGIC = b"CLGF"
-HEADER_BYTES = 16
 
 
 def _is_power_of_two(m):
@@ -307,35 +303,3 @@ def _chord_max(field, mask):
         out = shifted if out is None else np.maximum(out, shifted, out=out)
     return out
 
-
-# ---------------------------------------------------------------------------
-# serialization: 16-byte header (magic, u32 n, u32 N, 4 reserved bytes), then
-# row-major float64 little-endian (re, im) pairs
-
-
-def write_gridfunction(f, path):
-    """Write a GridFunction to the flat binary format."""
-    header = MAGIC + struct.pack("<IIxxxx", f.grid.n, f.grid.N)
-    payload = np.ascontiguousarray(f.values.astype("<c16")).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-
-
-def read_gridfunction(path):
-    """Read a GridFunction written by write_gridfunction."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    grid, payload = _parse_header(raw, path)
-    want = grid.ncells * 16
-    if len(payload) != want:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {want}")
-    vals = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
-    return GridFunction(grid, vals.astype(complex))
-
-
-def _parse_header(raw, path):
-    if len(raw) < HEADER_BYTES or raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a grid function file (bad magic)")
-    n, N = struct.unpack("<II", raw[4:12])
-    return Grid(int(n), int(N)), raw[HEADER_BYTES:]

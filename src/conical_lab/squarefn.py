@@ -32,13 +32,11 @@ class SquareFunctionSpec:
     order is the extra power of (t^2 L) or (t sqrt(L))^2 in the integrand;
     the s-families need at least one, the gradient families accept zero.
     When order is omitted it resolves to that minimum. The cone has
-    aperture one; the time ladder defaults to the one spanning the
-    operator's grid.
+    aperture one, over the time ladder spanning the operator's grid.
     """
 
     family: str
     order: int | None = None
-    tgrid: TimeGrid | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -61,7 +59,7 @@ def integrand_field(op, spec, f):
     The member comes from op.ladder on the direct route: the spectral or
     dense calculus of the operator, for heat and Poisson alike.
     """
-    tg = spec.tgrid if spec.tgrid is not None else TimeGrid.spanning(op.grid)
+    tg = TimeGrid.spanning(op.grid)
     semigroup, kind, _ = FAMILIES[spec.family]
     derivative = {"s": "none", "g": "spatial", "gcal": "full"}[kind]
     comps = op.ladder(semigroup, spec.order, derivative, tg.levels, f)
@@ -83,7 +81,7 @@ class DominationReport:
     """Largest pointwise violations of the structural inequalities.
 
     The gradient entries compare the spatial-gradient family against the
-    space-time one at each order in orders and for both semigroups; s_vs_gcal_heat
+    space-time one at orders 0, 1 and 2 and for both semigroups; s_vs_gcal_heat
     checks s (order one) against twice gcal (order zero), which holds
     because the time component of the order-zero space-time gradient is
     exactly twice the s-integrand. time_identity_error records how exactly
@@ -94,7 +92,6 @@ class DominationReport:
     gradient_violation_poisson: float
     s_vs_gcal_heat: float
     time_identity_error: float
-    orders: tuple
 
     @property
     def max_violation(self):
@@ -112,7 +109,6 @@ class DominationReport:
 def pointwise_domination_report(op, f):
     """Check the component-subset and factor-two dominations cell by cell,
     at orders 0, 1 and 2 on the ladder spanning the operator's grid."""
-    orders = (0, 1, 2)
     tg = TimeGrid.spanning(op.grid)
     cone = ConeParams(aperture=1.0, q=2.0)
     grid = op.grid
@@ -123,7 +119,7 @@ def pointwise_domination_report(op, f):
     worst = {"heat": 0.0, "poisson": 0.0}
     heat_zero_time = heat_zero_full = None
     for semigroup in ("heat", "poisson"):
-        for m in orders:
+        for m in (0, 1, 2):
             comps = op.ladder(semigroup, m, "full", tg.levels, f)
             sq = np.abs(comps) ** 2
             g_mags = np.sqrt(sq[:, : grid.n].sum(axis=1))
@@ -144,5 +140,4 @@ def pointwise_domination_report(op, f):
         gradient_violation_poisson=float(max(0.0, worst["poisson"])),
         s_vs_gcal_heat=float(max(0.0, s_gap.max())),
         time_identity_error=ident,
-        orders=orders,
     )

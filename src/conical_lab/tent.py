@@ -207,8 +207,6 @@ class DyadicCube:
 
     level: int
     corner: tuple
-    side: float
-    dist: float
 
 
 def chebyshev_to_complement(mask, grid):
@@ -255,7 +253,7 @@ def whitney(mask, grid):
         side = m * grid.h
         dist = float(D[block].min())
         if inside and side <= dist + 1e-12:
-            cubes.append(DyadicCube(level, corner, side, dist))
+            cubes.append(DyadicCube(level, corner))
             return
         if level == max_level:
             return

@@ -519,9 +519,9 @@ def run_carleson_suite(cfg):
 
 
 _CP_INTEGRANDS = {
-    "semigroup": ("s_h", 1),
-    "gradient": ("g_h", 0),
-    "full_gradient": ("gcal_h", 0),
+    "semigroup": "s_h",
+    "gradient": "g_h",
+    "full_gradient": "gcal_h",
 }
 
 
@@ -539,18 +539,17 @@ def run_cp_vs_maximal(cfg):
     table = ResultTable()
 
     def build(grid):
-        return (cfg.build_operator(grid), TimeGrid.spanning(grid),
-                BallFamily.dense_dyadic(grid))
+        return cfg.build_operator(grid), BallFamily.dense_dyadic(grid)
 
-    def max_ratios(op, tgrid, fam, seed):
+    def max_ratios(op, fam, seed):
         out = {name: [] for name in _CP_INTEGRANDS}
 
         def one(rng):
             f = _rand_gf(op.grid, rng)
             M = hl_maximal(f, p0, fam)
             vals = {}
-            for name, (family, order) in _CP_INTEGRANDS.items():
-                spec = squarefn.SquareFunctionSpec(family, order=order, tgrid=tgrid)
+            for name, family in _CP_INTEGRANDS.items():
+                spec = squarefn.SquareFunctionSpec(family)
                 F = squarefn.integrand_field(op, spec, f)
                 C = tent.carleson_p0(F, 2.0, p0, fam).values.real
                 vals[name] = float((C / M).max())
@@ -562,8 +561,8 @@ def run_cp_vs_maximal(cfg):
         return out
 
     coarse = max_ratios(*build(coarse_grid), cfg.seed + 1)
-    op, tgrid, fam = build(grid)
-    fine = max_ratios(op, tgrid, fam, cfg.seed)
+    op, fam = build(grid)
+    fine = max_ratios(op, fam, cfg.seed)
     note = None if in_range else "p0 outside the certain range"
     for name in _CP_INTEGRANDS:
         params = {"integrand": name, "p0": p0, "preset": cfg.preset}
@@ -574,7 +573,7 @@ def run_cp_vs_maximal(cfg):
     # L1 = 0 holds up to rounding, so the box side of a constant input sits
     # at rounding-noise level
     one_f = GridFunction(grid, np.ones(grid.shape))
-    spec = squarefn.SquareFunctionSpec("s_h", order=1, tgrid=tgrid)
+    spec = squarefn.SquareFunctionSpec("s_h")
     F = squarefn.integrand_field(op, spec, one_f)
     cval = float(np.abs(tent.carleson_p0(F, 2.0, p0, fam).values).max())
     table.info("cp-maximal", {"stat": "constant_input", "p0": p0}, cval)

@@ -33,23 +33,12 @@ from .grid import (
 )
 
 
-@dataclass(frozen=True)
-class PowerWeight:
-    theta: float
-    center: tuple
-
-
 @dataclass
 class Weight:
-    """Strictly positive weight sampled on grid cells.
-
-    A power-law weight keeps its analytic descriptor: the theta and center
-    it was sampled from.
-    """
+    """Strictly positive weight sampled on grid cells."""
 
     grid: Grid
     values: np.ndarray
-    power: PowerWeight | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -68,7 +57,7 @@ class Weight:
             raise ValueError(f"center {center} does not have n = {grid.n} coordinates")
         d = torus_distance(grid.cell_centers(), np.asarray(center))
         vals = np.maximum(d, grid.h / 2) ** (-theta)
-        return cls(grid, vals, power=PowerWeight(theta, center))
+        return cls(grid, vals)
 
 
 @dataclass(frozen=True)
@@ -92,9 +81,6 @@ class BallFamily:
         if radii[0] < 2 * h - 1e-15 or radii[-1] > 0.5 + 1e-15:
             raise ValueError("radii must lie in [2h, 1/2]")
         object.__setattr__(self, "radii", radii)
-
-    def __len__(self):
-        return self.grid.ncells * len(self.radii)
 
     @classmethod
     def dense_dyadic(cls, grid):

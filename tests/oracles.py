@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from conical_lab.grid import Grid, ball_kernel, ball_max, ball_sum
+from conical_lab.tent import chebyshev_to_complement
 from conical_lab.weights import BallFamily, Weight
 
 
@@ -45,6 +46,16 @@ def cell_slices(cube, grid):
     return tuple(slice(c * m, (c + 1) * m) for c in cube.corner)
 
 
+def cube_sides_and_dists(cubes, mask, grid):
+    """(side, dist) of each tent.DyadicCube of a Whitney decomposition of
+    mask, by one rule: side = 2**-level, and dist is the minimum of
+    tent.chebyshev_to_complement(mask, grid) over cell_slices(cube, grid),
+    the distance that the acceptance rule of tent.whitney compares the side
+    against."""
+    D = chebyshev_to_complement(mask, grid)
+    return [(2.0 ** -q.level, float(D[cell_slices(q, grid)].min())) for q in cubes]
+
+
 def iter_balls(family):
     """(center, radius) pairs of a BallFamily, center-major in row-major cell order."""
     for c in family.grid.cell_centers().reshape(-1, family.grid.n):
@@ -52,16 +63,18 @@ def iter_balls(family):
             yield c, r
 
 
-def at_resolution(w, N):
+def at_resolution(w, N, theta=None, center=None):
     """The same weight on the grid with N cells per axis.
 
-    A power-law weight is resampled from its descriptor; a tabulated weight
-    coarsens by one halving, averaging blocks of 2^n cells.
+    When the caller names w as the power law Weight.power_law(grid, theta,
+    center), it is resampled from theta and center, never block-averaged;
+    any other weight is tabulated and coarsens by one halving, averaging
+    blocks of 2^n cells.
     """
     if N == w.grid.N:
         return w
-    if w.power is not None:
-        return Weight.power_law(Grid(w.grid.n, N), w.power.theta, w.power.center)
+    if theta is not None:
+        return Weight.power_law(Grid(w.grid.n, N), theta, center)
     if N * 2 == w.grid.N:
         v = w.values
         for ax in range(w.grid.n):
@@ -150,8 +163,11 @@ class CriticalExponents:
                 and self.s_bracket[1] - self.s_bracket[0] <= 2 * self.tol)
 
 
-def estimate_critical_exponents(w, family=None, tol=0.25, cap=16.0, blowup=1.5):
+def estimate_critical_exponents(w, family=None, tol=0.25, cap=16.0, blowup=1.5,
+                                theta=None, center=None):
     """Bisect blow-up classifiers for A_r and RH_{s'} membership.
+
+    theta and center name w as a power law, as at_resolution takes them.
 
     The classifier compares the constant on the dense dyadic family at the
     weight's own resolution N against resolution N/2 and calls the class
@@ -166,7 +182,7 @@ def estimate_critical_exponents(w, family=None, tol=0.25, cap=16.0, blowup=1.5):
     grid = w.grid
     if grid.N < 16:
         raise ValueError("need N >= 16 so that N/2 still admits dyadic balls")
-    w_fine, w_coarse = w, at_resolution(w, grid.N // 2)
+    w_fine, w_coarse = w, at_resolution(w, grid.N // 2, theta, center)
     # the fine family's dyadic radii start at the smallest radius of family
     r = family.radii[0] if family is not None else 2 * grid.h
     radii = []

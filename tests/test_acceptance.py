@@ -32,6 +32,7 @@ from conical_lab.weights import (
 from oracles import (
     at_resolution,
     cell_slices,
+    cube_sides_and_dists,
     estimate_Ap_constant,
     estimate_RHs_constant,
     torus_distance_chebyshev,
@@ -155,7 +156,6 @@ def test_05_pointwise_dominations(lap1, pert1):
         for _ in range(5):
             rep = squarefn.pointwise_domination_report(op, _rand(op.grid, rng))
             worst = max(worst, rep.max_violation)
-            assert rep.orders == (0, 1, 2)
     _verdict(5, "pointwise dominations", worst < 1e-12,
              f"max violation {worst:.1e} over 2 presets x 5 functions")
 
@@ -285,7 +285,7 @@ def test_11_weight_analytics():
     disagreements = []
     for theta, kind, expo, _ in probes:
         w = Weight.power_law(Grid(n, N), theta)
-        wc = at_resolution(w, N // 2)
+        wc = at_resolution(w, N // 2, theta)
         fam, famc = (BallFamily.dense_dyadic(v.grid) for v in (w, wc))
         if kind == "A":
             inside = power_weight_in_Ar(theta, n, expo)
@@ -327,16 +327,17 @@ def test_12_whitney_properties():
             counts[cell_slices(q, grid)] += 1
         assert np.array_equal(counts, mask.astype(int))
         # size against distance to the complement
-        for q in cubes:
-            assert q.side <= q.dist + 1e-12
-            assert q.dist <= 4 * q.side
+        geometry = cube_sides_and_dists(cubes, mask, grid)
+        for side, dist in geometry:
+            assert side <= dist + 1e-12
+            assert dist <= 4 * side
         # bounded overlap of the 9/8-dilates
         overlap = np.zeros(grid.shape, dtype=int)
         flat = centers.reshape(-1, grid.n) if grid is g2 \
             else grid.cell_centers().reshape(-1, grid.n)
-        for q in cubes:
-            c = (np.asarray(q.corner) + 0.5) * q.side
-            hit = torus_distance_chebyshev(flat, c) < (9.0 / 16.0) * q.side
+        for q, (side, _) in zip(cubes, geometry):
+            c = (np.asarray(q.corner) + 0.5) * side
+            hit = torus_distance_chebyshev(flat, c) < (9.0 / 16.0) * side
             overlap += hit.reshape(grid.shape).astype(int)
         assert overlap.max() <= 12**grid.n
         worst_overlap_margin.append(overlap.max() / 12**grid.n)

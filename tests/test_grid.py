@@ -14,10 +14,9 @@ from conical_lab.grid import (
     ball_max,
     ball_sum,
     lp_norm_weighted,
-    read_gridfunction,
     torus_distance,
-    write_gridfunction,
 )
+from conical_lab.elliptic import CoefficientField
 
 
 def brute_torus_distance(x, y, n):
@@ -262,29 +261,35 @@ def test_ball_max_equals_max_over_ball_cells(case):
 def test_serialization_roundtrip_and_header(tmp_path):
     rng = np.random.default_rng(2)
     g = Grid(2, 16)
-    f = GridFunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-    path = tmp_path / "f.clgf"
-    write_gridfunction(f, path)
+    vals = (rng.standard_normal(g.shape + (2, 2))
+            + 1j * rng.standard_normal(g.shape + (2, 2)))
+    coeff = CoefficientField(g, vals)
+    path = tmp_path / "a.coef"
+    coeff.to_file(path)
     raw = path.read_bytes()
     assert raw[:4] == b"CLGF"
     n, N = struct.unpack("<II", raw[4:12])
     assert (n, N) == (2, 16)
-    assert len(raw) == 16 + g.ncells * 16
-    # payload is little-endian float64 (re, im) pairs, row major
+    assert raw[12:16] == b"\x00" * 4
+    assert len(raw) == 16 + 4 * g.ncells * 16
+    # payload is little-endian float64 (re, im) pairs: channel A_jk at block
+    # j*n + k, each block row major
+    block = g.ncells * 16
     re0, im0 = struct.unpack("<dd", raw[16:32])
-    assert re0 == f.values.ravel()[0].real and im0 == f.values.ravel()[0].imag
-    back = read_gridfunction(path)
+    assert re0 == vals[0, 0, 0, 0].real and im0 == vals[0, 0, 0, 0].imag
+    re1, im1 = struct.unpack("<dd", raw[16 + block + 16:16 + block + 32])
+    assert re1 == vals[0, 1, 0, 1].real and im1 == vals[0, 1, 0, 1].imag
+    back = CoefficientField.from_file(path)
     assert back.grid == g
-    assert np.array_equal(back.values, f.values)
+    assert np.array_equal(back.values, coeff.values)
 
 
 def test_serialization_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.clgf"
+    p = tmp_path / "bad.coef"
     p.write_bytes(b"NOPE" + b"\x00" * 28)
-    with pytest.raises(ValueError):
-        read_gridfunction(p)
-    g = Grid(1, 16)
-    q = tmp_path / "short.clgf"
+    with pytest.raises(ValueError, match="not a coefficient file"):
+        CoefficientField.from_file(p)
+    q = tmp_path / "short.coef"
     q.write_bytes(b"CLGF" + struct.pack("<IIxxxx", 1, 16) + b"\x00" * 17)
-    with pytest.raises(ValueError):
-        read_gridfunction(q)
+    with pytest.raises(ValueError, match="expected 1 channels"):
+        CoefficientField.from_file(q)

@@ -18,8 +18,6 @@ from conical_lab.grid import (
     UpperHalfField,
     ball_kernel,
     lp_norm_weighted,
-    read_gridfunction,
-    write_gridfunction,
 )
 from conical_lab.weights import Weight, p_plus_Kstar, power_weight_in_Ar
 from conical_lab.elliptic import CoefficientField, assemble
@@ -145,16 +143,6 @@ class TestEvaluate:
         b = sf.evaluate(lap1, sf.SquareFunctionSpec(gcal_fam, order=1), f).values.real
         assert float((a - b).max()) <= 1e-12
 
-    def test_custom_time_grid(self, lap1):
-        rng = np.random.default_rng(43)
-        f = rand_gf(lap1.grid, rng)
-        levels = TimeGrid.spanning(lap1.grid).levels
-        tg = TimeGrid(lap1.grid, tuple(t for t in levels if t <= 0.2))
-        spec = sf.SquareFunctionSpec("g_h", tgrid=tg)
-        F = sf.integrand_field(lap1, spec, f)
-        assert F.tgrid is tg
-        assert F.values.shape[0] == len(tg.levels)
-
     def test_subordination_cross_check(self, lap1):
         # the subordination rule over the heat ladder must agree with the
         # direct matrix functions the square function uses; the 48-node rule lands
@@ -171,15 +159,6 @@ class TestEvaluate:
         err = float(np.abs(direct - sub).max()) / float(direct.max())
         assert err < 1e-3
 
-    def test_result_serializable(self, lap1, tmp_path):
-        rng = np.random.default_rng(45)
-        f = rand_gf(lap1.grid, rng)
-        out = sf.evaluate(lap1, sf.SquareFunctionSpec("s_h"), f)
-        path = tmp_path / "sfn.bin"
-        write_gridfunction(out, path)
-        back = read_gridfunction(path)
-        np.testing.assert_array_equal(back.values, out.values)
-
 
 class TestDomination:
     def test_laplace(self, lap1):
@@ -188,7 +167,6 @@ class TestDomination:
         assert rep.ok
         assert rep.max_violation <= 1e-12
         assert rep.time_identity_error <= 1e-13
-        assert rep.orders == (0, 1, 2)
 
     def test_perturbed_without_eigenbasis(self, pert1):
         assert pert1.report.tier == "dense-fallback"

@@ -1,6 +1,7 @@
 """No code without a caller: every public function, class and method of the
 package is referenced by the package itself, a demo or a perfbench script,
-and every option of the package is set by one of them.
+every option of the package is set by one of them, and every value the
+package stores is read by one of them.
 
 Names that only tests reach belong in tests/oracles.py. The name scan is by
 name (ast Name, Attribute and import alias nodes), so it catches a public
@@ -8,6 +9,9 @@ name that nothing outside tests mentions; it cannot tell two same-named
 methods apart. The option scan matches calls the same way: a call of a
 function, method or class by its name may pass a defaulted parameter or
 dataclass field by keyword, by position, or through * or ** unpacking.
+The state scan is by name as well: a dataclass field or an attribute set
+on self counts as read when an attribute of that name is loaded anywhere,
+so a copy such as op.lam would pass on a read of coeff.lam.
 """
 
 import ast
@@ -16,9 +20,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "conical_lab"
 
-# the documented binary formats (README, "Binary formats") are public API
-# for files, not for the program
-ALLOWED = {"write_gridfunction", "read_gridfunction", "CoefficientField.to_file"}
+# the documented coefficient-file format (README, "Binary formats") is public
+# API for files, not for the program: to_file is how a user writes one
+ALLOWED = {"CoefficientField.to_file"}
 
 
 def _caller_files():
@@ -180,3 +184,41 @@ def test_every_option_has_a_caller():
              for qual, callee, param, pos in _options(path)
              if not _is_set(callee, param, pos, calls)]
     assert unset == []
+
+
+# ------------------------------------------------------------- stored state
+
+
+def _loaded_attributes():
+    """Every attribute name an ast.Attribute loads in the caller files."""
+    names = set()
+    for path in _caller_files():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def _stored_values(path):
+    """(qualified name, attribute) of every dataclass field and every
+    attribute stored on self by the classes defined in path."""
+    for cls in ast.parse(path.read_text()).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if "dataclass" in map(_name, cls.decorator_list):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield f"{cls.name}.{stmt.target.id}", stmt.target.id
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                yield f"{cls.name}.{node.attr}", node.attr
+
+
+def test_every_stored_value_has_a_reader():
+    # a value that no program path reads is dead state: stop storing it
+    loaded = _loaded_attributes()
+    unread = sorted({f"{path.stem}.{qual}"
+                     for path in sorted(PACKAGE.glob("*.py"))
+                     for qual, attr in _stored_values(path) if attr not in loaded})
+    assert unread == []

@@ -31,7 +31,7 @@ from conical_lab.weights import (
 )
 from conical_lab import tent
 from conical_lab.tent import ConeParams
-from oracles import cell_slices, iter_balls
+from oracles import cell_slices, cube_sides_and_dists, iter_balls
 
 
 def rand_field(grid, tgrid, rng):
@@ -587,8 +587,9 @@ class TestWhitney:
         (cube,) = tent.whitney(mask, grid)
         assert cube.level == 4
         assert cube.corner == (3,)
-        assert cube.side == pytest.approx(grid.h)
-        assert cube.dist == pytest.approx(grid.h)
+        ((side, dist),) = cube_sides_and_dists([cube], mask, grid)
+        assert side == pytest.approx(grid.h)
+        assert dist == pytest.approx(grid.h)
 
     def test_half_slab_1d(self):
         grid = Grid(1, 16)
@@ -615,23 +616,20 @@ class TestWhitney:
 
     def test_side_vs_distance(self, ball_mask):
         grid, mask, cubes = ball_mask
-        D = tent.chebyshev_to_complement(mask, grid)
-        for q in cubes:
-            block_min = float(D[cell_slices(q, grid)].min())
-            assert q.dist == pytest.approx(block_min)
-            assert q.side <= q.dist + 1e-12
-            assert q.dist <= 4 * q.side + 1e-12
+        for side, dist in cube_sides_and_dists(cubes, mask, grid):
+            assert side <= dist + 1e-12
+            assert dist <= 4 * side + 1e-12
 
     def test_dilate_overlap(self, ball_mask):
         # 9/8-dilates have bounded overlap; count cells inside each dilate
         grid, mask, cubes = ball_mask
         centers = grid.cell_centers()
         counts = np.zeros(grid.shape, int)
-        for q in cubes:
-            c = (np.asarray(q.corner) + 0.5) * q.side
+        for q, (side, _) in zip(cubes, cube_sides_and_dists(cubes, mask, grid)):
+            c = (np.asarray(q.corner) + 0.5) * side
             d = np.abs(centers - c)
             d = np.minimum(d, 1 - d)
-            counts += np.all(d <= (9 / 16) * q.side + 1e-12, axis=-1)
+            counts += np.all(d <= (9 / 16) * side + 1e-12, axis=-1)
         assert counts.max() <= 12**grid.n
 
     def test_sorted_output(self, ball_mask):

@@ -531,6 +531,19 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not (tmp_path / f"{experiment}.csv").exists()
 
+    def test_unreadable_coeff_file_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.coef"
+        bad.write_bytes(b"NOPE" + b"\x00" * 28)
+        for path, message in ((bad, "not a coefficient file"),
+                              (tmp_path / "missing.coef", "missing.coef")):
+            code = vericli.main(["offdiag", "--set", "seed=1",
+                                 "--set", f"coeff_file={path}",
+                                 "--out", str(tmp_path)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and message in err
+        assert not (tmp_path / "offdiag.csv").exists()
+
     def test_experiment_mismatch(self, tmp_path):
         path = tmp_path / "m.cfg"
         path.write_text("seed = 1\nexperiment = angles\n")

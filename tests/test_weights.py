@@ -229,7 +229,7 @@ def test_power_weight_exponents_formulas():
 
 def _blows_up(theta, kind, expo, N=32, ratio=1.5):
     wf = Weight.power_law(Grid(2, N), theta)
-    wc = at_resolution(wf, N // 2)
+    wc = at_resolution(wf, N // 2, theta)
     ff = BallFamily.dense_dyadic(wf.grid)
     fc = BallFamily.dense_dyadic(wc.grid)
     est = estimate_Ap_constant if kind == "Ap" else estimate_RHs_constant
@@ -275,20 +275,23 @@ def test_critical_exponents_constant_weight(g16, fam16):
 
 def test_critical_exponents_power_weights():
     # theta=-2: r_w=2 resolved cleanly at N=32; s side trivial
-    ce = estimate_critical_exponents(Weight.power_law(Grid(2, 32), -2.0), tol=0.25)
+    ce = estimate_critical_exponents(Weight.power_law(Grid(2, 32), -2.0), tol=0.25,
+                                     theta=-2.0)
     assert abs(ce.r_w - 2.0) <= 0.25
     assert ce.s_bracket == (1.0, 1.0)
     # theta=1: r side exact; the s side diverges at rate (2-s)/s per octave,
     # below the 1.5-ratio floor near s=2, so the bracket sits low: tol=0.8
     # absorbs the measured bias of the pinned classifier
-    ce = estimate_critical_exponents(Weight.power_law(Grid(2, 32), 1.0), tol=0.8)
+    ce = estimate_critical_exponents(Weight.power_law(Grid(2, 32), 1.0), tol=0.8,
+                                     theta=1.0)
     assert ce.r_bracket == (1.0, 1.0)
     assert abs(ce.s_w - 2.0) <= 0.8
 
 
 def test_critical_exponents_cap_reports_wide_bracket():
     # r_w = 5 lies beyond the cap: the bracket must stay wide, not collapse
-    ce = estimate_critical_exponents(Weight.power_law(Grid(2, 16), -8.0), tol=0.25, cap=3.0)
+    ce = estimate_critical_exponents(Weight.power_law(Grid(2, 16), -8.0), tol=0.25,
+                                     cap=3.0, theta=-8.0)
     assert ce.r_bracket == (3.0, math.inf)
     assert not ce.conclusive
 
@@ -396,10 +399,11 @@ def test_power_weight_descriptor_consistency(g16):
     from conical_lab.grid import torus_distance
 
     w = Weight.power_law(g16, 1.3, center=(0.25, 0.5))
-    d = torus_distance(g16.cell_centers(), np.array([0.25, 0.5]))
-    np.testing.assert_array_equal(w.values, np.maximum(d, g16.h / 2) ** -1.3)
-    fine = at_resolution(w, 32)
-    assert fine.grid.N == 32 and fine.power == w.power
+    fine = at_resolution(w, 32, 1.3, (0.25, 0.5))
+    assert fine.grid.N == 32
+    for v in (w, fine):
+        d = torus_distance(v.grid.cell_centers(), np.array([0.25, 0.5]))
+        np.testing.assert_array_equal(v.values, np.maximum(d, v.grid.h / 2) ** -1.3)
 
 
 def test_tabulated_weight_coarsens_by_block_average(rough_weight):
@@ -420,7 +424,6 @@ def test_ball_family_validation(g16):
         BallFamily(g16, [])
     fam = BallFamily(g16, [0.5, 0.125, 0.5])
     assert fam.radii == (0.125, 0.5)
-    assert len(fam) == 2 * g16.ncells
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -433,7 +436,7 @@ def test_dense_dyadic_enumeration(n):
     centers = (np.indices(grid.shape).reshape(n, -1).T + 0.5) / grid.N
     want = [(c, r) for c in centers for r in (0.125, 0.25, 0.5)]
     got = list(iter_balls(fam))
-    assert len(got) == len(fam) == len(want) == grid.ncells * 3
+    assert len(got) == len(want) == grid.ncells * 3
     for (c, r), (c_ref, r_ref) in zip(got, want):
         np.testing.assert_array_equal(c, c_ref)
         assert r == r_ref
