@@ -50,6 +50,13 @@ each entry, of size at most about 1, by less than 1.5e-154.
 EllipticOperator.ladder is the one entry to that evaluator: it takes a
 field or a batch of fields, and heat, poisson and their gradients are ladder
 at the one time (t,).
+
+scipy.linalg, which only the dense fallback calls, is not imported with
+this module: linalg() imports it on first use and binds it to the module
+name sla, which the dense route reads at every call. The command line loads
+it while it parses a configuration with other than identity coefficients
+(a preset other than laplace, or a coefficient file), before the experiment
+starts; an identity run never imports it.
 """
 
 from __future__ import annotations
@@ -59,9 +66,27 @@ import struct
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-import scipy.linalg as sla
 
 from .grid import Grid, GridFunction
+
+
+def linalg():
+    """The module bound to the name sla: scipy.linalg, imported on the
+    first call. The dense route calls this for every expm and sqrtm, so an
+    object put in place of sla (perfbench's tracing proxy) sees them all."""
+    mod = globals().get("sla")
+    if mod is None:
+        import scipy.linalg as mod
+
+        globals()["sla"] = mod
+    return mod
+
+
+def __getattr__(name):
+    # elliptic.sla resolves from outside before the first dense evaluation
+    if name == "sla":
+        return linalg()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class EllipticityError(ValueError):
@@ -328,7 +353,7 @@ class EllipticOperator:
             while norm > _THETA13 * 2.0**s:
                 s += 1
             A *= 0.5**s
-            return _squared(sla.expm(A), s)
+            return _squared(linalg().expm(A), s)
 
         return self._cached((key, tau), build)
 
@@ -342,7 +367,7 @@ class EllipticOperator:
         nc = self.ncells
         J = np.full((nc, nc), 1.0 / nc, dtype=complex)
         A = self.matrix + J
-        S = sla.sqrtm(A)
+        S = linalg().sqrtm(A)
         resid = float(np.linalg.norm(S @ S - A) / np.linalg.norm(A))
         if not resid <= 1e-10:
             raise RuntimeError(f"sqrtm residual {resid:.1e} above 1e-10")

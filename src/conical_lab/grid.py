@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 
 def _is_power_of_two(m):
@@ -271,9 +270,14 @@ def ball_max(field, radius):
     """Max of a real cell field over the ball around every cell center.
 
     Exact: the open ball is a union of chords, read from the same mask as
-    ball_kernel, and the max is taken chord by chord with running maxima
-    (van Herk / Gil-Werman): O((rN)^(n-1)) work per cell where a disc
-    footprint costs O((rN)^n).
+    ball_kernel, and the max is taken chord by chord: O((rN)^(n-1)) work
+    per cell where a disc footprint costs O((rN)^n). Every chord runs along
+    the field's last axis, so one doubling table serves them all: T[k][j]
+    is the max of ext[j : j + 2^k], ext being the field wrap-extended by
+    the widest chord's half-width, and a chord of width w is the max of two
+    overlapping slices of T[floor(log2 w)]. This is the running-max idea of
+    van Herk (1992) and Gil & Werman (1993), with the blocks shared by all
+    widths of one call.
     """
     if not 0.0 < radius <= 0.5:
         raise ValueError(f"radius must be in (0, 1/2], got {radius}")
@@ -283,23 +287,39 @@ def ball_max(field, radius):
 
 def _chord_max(field, mask):
     # max over the displacement classes in mask, which acts on the trailing
-    # mask.ndim axes of field; mask is symmetric under j -> -j
-    axis = field.ndim - mask.ndim
-    if mask.ndim == 1:
-        # d2 adds the last axis term last, so along it the distance grows
-        # with |j|: the mask is the interval |j| <= w, 2w + 1 classes, or
-        # the whole circle, whose even window still covers every class once
-        return maximum_filter1d(field, int(mask.sum()), axis=axis, mode="wrap")
-    out = None
-    chords = {}
-    for a, sub in enumerate(mask):
-        if not sub.any():
-            continue
-        key = sub.tobytes()
-        if key not in chords:
-            chords[key] = _chord_max(field, sub)
-        # out[x] takes the chord max at x + a along the leading mask axis
-        shifted = np.roll(chords[key], -a, axis=axis)
-        out = shifted if out is None else np.maximum(out, shifted, out=out)
-    return out
+    # mask.ndim axes of field; mask is symmetric under j -> -j. d2 adds the
+    # last axis term last, so along it the distance grows with |j|: each
+    # 1-D chord is the interval |j| <= k, 2k + 1 classes, or the whole
+    # circle, whose even window covers every class once
+    N = field.shape[-1]
+    widest = int(mask.reshape(-1, N).sum(axis=1).max())
+    pad = widest // 2
+    table = [np.take(field, np.arange(-pad, N + pad) % N, axis=-1)]
+    while 2 ** len(table) <= widest:
+        half = 2 ** (len(table) - 1)
+        table.append(np.maximum(table[-1][..., :-half], table[-1][..., half:]))
 
+    def chord(w):
+        k = w.bit_length() - 1
+        lo = pad - (w - 1) // 2
+        hi = lo + w - 2**k
+        return np.maximum(table[k][..., lo:lo + N], table[k][..., hi:hi + N])
+
+    def union(sub):
+        if sub.ndim == 1:
+            return chord(int(sub.sum()))
+        axis = field.ndim - sub.ndim
+        out = None
+        chords = {}
+        for a, row in enumerate(sub):
+            if not row.any():
+                continue
+            key = row.tobytes()
+            if key not in chords:
+                chords[key] = union(row)
+            # out[x] takes the chord max at x + a along the leading mask axis
+            shifted = np.roll(chords[key], -a, axis=axis)
+            out = shifted if out is None else np.maximum(out, shifted, out=out)
+        return out
+
+    return union(mask)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import minimum_filter
 
 from .grid import GridFunction, ball_kernel, ball_max, ball_sum
 from .weights import hl_maximal
@@ -135,7 +134,8 @@ def cone_profile_on_indicator(rho, alpha, n):
     cuts = sorted({(rho - 0.25) / alpha, (rho + 0.25) / alpha,
                    (0.25 - rho) / alpha})
     pts = [c for c in cuts if 0.5 < c < 1.0]
-    # imported here: at the top, scipy.integrate adds ~0.2 s, 19 MB to a CLI start
+    # imported here: at the top, scipy.integrate would add ~0.6 s and 50 MB
+    # (2-vCPU host) to a CLI start that otherwise loads numpy alone
     from scipy.integrate import quad
 
     val, _ = quad(lambda t: vol(rho, alpha * t, 0.25) * t ** (-n - 1),
@@ -161,7 +161,8 @@ def continuous_cone_on_indicator(alpha, p, theta, n):
     cand = {0.25, 0.25 + alpha / 2, 0.25 + alpha,
             abs(alpha / 2 - 0.25), abs(alpha - 0.25)}
     upts = sorted(c ** m for c in cand if 0 < c < R)
-    # imported here: at the top, scipy.integrate adds ~0.2 s, 19 MB to a CLI start
+    # imported here: at the top, scipy.integrate would add ~0.6 s and 50 MB
+    # (2-vCPU host) to a CLI start that otherwise loads numpy alone
     from scipy.integrate import quad
 
     val, _ = quad(
@@ -216,6 +217,10 @@ def chebyshev_to_complement(mask, grid):
     if mask.shape != grid.shape:
         raise ValueError("mask shape does not match grid")
     D = np.where(mask, np.inf, 0.0)
+    # imported here: only the Whitney decomposition, which no CLI run
+    # makes, needs scipy.ndimage
+    from scipy.ndimage import minimum_filter
+
     for _ in range(grid.N):
         step = minimum_filter(D, size=3, mode="wrap") + grid.h
         nxt = np.minimum(D, step)

@@ -48,6 +48,7 @@ from .elliptic import (
     CoefficientField,
     SemigroupRequest,
     assemble,
+    linalg,
     offdiagonal_opnorm,
 )
 from . import squarefn, tent
@@ -160,7 +161,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key {key!r}")
         if "seed" not in raw:
             raise ConfigError("seed is mandatory")
-        return cls(**{k: _parse_scalar(k, v) for k, v in raw.items()})
+        cfg = cls(**{k: _parse_scalar(k, v) for k, v in raw.items()})
+        if not cfg.identity:
+            # only these runs can reach the dense fallback: load scipy.linalg
+            # with the configuration, before the experiment starts
+            linalg()
+        return cfg
 
     # ------------------------------------------------------------ builders
 

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.ndimage import maximum_filter1d
 
 from conical_lab.grid import (
     Grid,
@@ -16,6 +17,7 @@ from conical_lab.grid import (
     lp_norm_weighted,
     torus_distance,
 )
+from conical_lab import grid as gridmod
 from conical_lab.elliptic import CoefficientField
 
 
@@ -256,6 +258,61 @@ def test_ball_max_equals_max_over_ball_cells(case):
     centers = g.cell_centers().reshape(-1, g.n)
     for i in some_cells:
         assert got[i] == field.ravel()[ball_cells(g, centers[i], radius)].max()
+
+
+def scipy_chord_max(field, mask):
+    # the chord decomposition with SciPy's wrapped running max for every
+    # 1-D chord along the last axis, the oracle for the doubling table
+    axis = field.ndim - mask.ndim
+    if mask.ndim == 1:
+        return maximum_filter1d(field, int(mask.sum()), axis=-1, mode="wrap")
+    out = np.full(field.shape, -np.inf)
+    for a, sub in enumerate(mask):
+        if sub.any():
+            np.maximum(out, np.roll(scipy_chord_max(field, sub), -a, axis=axis), out=out)
+    return out
+
+
+def window_mask(N, w):
+    # the 1-D chord of w classes: |j| <= (w - 1) / 2 for odd w, all of them for w = N
+    j = np.arange(N)
+    return np.minimum(j, N - j) <= (w - 1) // 2 if w < N else np.ones(N, dtype=bool)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chord_windows_match_scipy_wrapped_max(n):
+    rng = np.random.default_rng(40 + n)
+    for N in (2, 4, 8, 16, 32, 64):
+        if N**n > 2**15:
+            continue
+        # small integers give ties between cells, normals give none
+        fields = (rng.integers(-3, 4, (N,) * n).astype(float), rng.standard_normal((N,) * n))
+        for w in [*range(1, N, 2), N]:
+            mask = window_mask(N, w)
+            for field in fields:
+                for ax in range(n):
+                    got = np.moveaxis(gridmod._chord_max(np.moveaxis(field, ax, -1), mask), -1, ax)
+                    want = maximum_filter1d(field, w, axis=ax, mode="wrap")
+                    assert np.array_equal(got, want), (n, N, w, ax)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chord_tables_match_scipy_chords(n):
+    # several chord widths share one table: ball masks, and the closed ball
+    # of radius 1/2, whose central chord is the whole circle beside odd ones
+    rng = np.random.default_rng(50 + n)
+    for N in (2, 4, 8, 16, 32, 64):
+        if N**n > 2**12:
+            continue
+        dist = gridmod._displacement_distance(n, N)
+        radii = np.unique(dist[dist > 0])
+        radii = radii[np.linspace(0, len(radii) - 1, min(len(radii), 10)).astype(int)]
+        for mask in [dist < r for r in radii] + [dist <= 0.5]:
+            # small integers give ties between cells, normals give none
+            for field in (rng.integers(-3, 4, (N,) * n).astype(float),
+                          rng.standard_normal((N,) * n)):
+                got = gridmod._chord_max(field, mask)
+                assert np.array_equal(got, scipy_chord_max(field, mask)), (n, N)
 
 
 def test_serialization_roundtrip_and_header(tmp_path):

@@ -1,6 +1,8 @@
 """perfbench's traced run rebinds conical_lab functions by name
 (perfbench/spans.py, install): every name it looks up must still resolve,
 and each traced semigroup entry must record one span of its own layer.
+The dense route reads elliptic.sla at call time, so the tracing proxy sees
+its expm and sqrtm even when installed before scipy.linalg has loaded.
 """
 
 import os
@@ -41,11 +43,40 @@ print("installed")
 """
 
 
-def test_perfbench_trace_hooks_resolve():
+DENSE_PROBE = """
+import sys
+import numpy as np
+import spans
+from conical_lab import elliptic, grid
+assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded before install"
+rec = spans.Recorder()
+spans.install(rec)
+g = grid.Grid(1, 8)
+op = elliptic.assemble(g, elliptic.CoefficientField.preset(g, "perturbed"))
+assert op.report.tier == "dense-fallback", op.report.tier
+f = np.ones(g.shape)
+for name, inner in (("heat", "elliptic.expm"), ("poisson", "elliptic.sqrtm")):
+    before = len(rec.spans)
+    getattr(op, name)(0.2, 1, f)
+    names = [s.name for s in rec.spans[before:]]
+    assert inner in names, (name, names)
+print("traced")
+"""
+
+
+def _probe(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "installed"
+    return proc.stdout.strip()
+
+
+def test_perfbench_trace_hooks_resolve():
+    assert _probe(PROBE) == "installed"
+
+
+def test_trace_sees_dense_route_installed_before_scipy_linalg():
+    assert _probe(DENSE_PROBE) == "traced"
