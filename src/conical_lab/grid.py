@@ -196,6 +196,8 @@ class UpperHalfField:
     def __post_init__(self):
         self.values = np.asarray(self.values)
         want = (len(self.tgrid),) + self.grid.shape
+        if self.tgrid.grid != self.grid:
+            raise ValueError(f"time grid is tied to {self.tgrid.grid}, not {self.grid}")
         if self.values.shape != want:
             raise ValueError(f"values shape {self.values.shape}, expected {want}")
         if not np.all(np.isfinite(self.values.view(float) if np.iscomplexobj(self.values) else self.values)):
@@ -235,9 +237,28 @@ def ball_kernel(n, N, radius):
 
 
 @lru_cache(maxsize=None)
+def _chord_rows(n, N, radius):
+    # the open ball as 1-D chords along the last axis, read from the same
+    # mask as ball_kernel: (pad, rows), pad the widest chord's half-width and
+    # one (w, lead) per nonempty mask row, w its width and lead the slices of
+    # the padded leading axes that place it at its signed offset. d2 adds the
+    # last axis term last, so along it the distance grows with |j| and each
+    # chord is the interval |j| <= w // 2; the class at distance 1/2 is never
+    # in the open ball, so every w is odd and every offset lies in (-N/2, N/2)
+    ker, _ = ball_kernel(n, N, radius)
+    widths = ker.reshape(-1, N).sum(axis=1).astype(int)
+    pad = int(widths.max()) // 2
+    rows = []
+    for a, w in zip(np.ndindex((N,) * (n - 1)), widths):
+        if w:
+            offsets = ((j + N // 2) % N - N // 2 for j in a)
+            rows.append((int(w), tuple(slice(pad + s, pad + s + N) for s in offsets)))
+    return pad, tuple(rows)
+
+
+@lru_cache(maxsize=None)
 def ball_kernel_fft(n, N, radius):
-    ker, cnt = ball_kernel(n, N, radius)
-    return np.fft.rfftn(ker), cnt
+    return np.fft.rfftn(ball_kernel(n, N, radius)[0])
 
 
 def ball_sum(field, radius):
@@ -256,9 +277,9 @@ def ball_sum(field, radius):
     if lead:
         if len(radius) != field.shape[0]:
             raise ValueError(f"{len(radius)} radii for a stack of {field.shape[0]} fields")
-        kf = np.stack([ball_kernel_fft(n, N, r)[0] for r in radius])
+        kf = np.stack([ball_kernel_fft(n, N, r) for r in radius])
     else:
-        kf, _ = ball_kernel_fft(n, N, radius)
+        kf = ball_kernel_fft(n, N, radius)
     axes = tuple(range(lead, field.ndim))
     out = np.fft.irfftn(np.fft.rfftn(field, axes=axes) * kf, s=shape, axes=axes)
     nonneg = np.all(field >= 0, axis=axes)
@@ -269,57 +290,32 @@ def ball_sum(field, radius):
 def ball_max(field, radius):
     """Max of a real cell field over the ball around every cell center.
 
-    Exact: the open ball is a union of chords, read from the same mask as
-    ball_kernel, and the max is taken chord by chord: O((rN)^(n-1)) work
-    per cell where a disc footprint costs O((rN)^n). Every chord runs along
-    the field's last axis, so one doubling table serves them all: T[k][j]
-    is the max of ext[j : j + 2^k], ext being the field wrap-extended by
-    the widest chord's half-width, and a chord of width w is the max of two
-    overlapping slices of T[floor(log2 w)]. This is the running-max idea of
-    van Herk (1992) and Gil & Werman (1993), with the blocks shared by all
-    widths of one call.
+    Exact: the open ball is a union of chords along the last axis, planned
+    once per (n, N, radius) from the same mask as ball_kernel, and the max
+    is taken chord by chord: O((rN)^(n-1)) work per cell where a disc
+    footprint costs O((rN)^n). The field is wrap-extended once on every
+    axis by the widest chord's half-width, and one doubling table along the
+    last axis serves every chord: T[k][j] is the max of ext[..., j : j + 2^k],
+    and the chords of width w are the max of two overlapping slices of
+    T[floor(log2 w)], taken once per width. Each chord then enters the ball
+    maximum as a view at its leading offset. This is the running-max idea
+    of van Herk (1992) and Gil & Werman (1993), with the blocks shared by
+    all widths of one call.
     """
-    if not 0.0 < radius <= 0.5:
-        raise ValueError(f"radius must be in (0, 1/2], got {radius}")
-    mask = _displacement_distance(field.ndim, field.shape[0]) < radius
-    return _chord_max(field, mask)
-
-
-def _chord_max(field, mask):
-    # max over the displacement classes in mask, which acts on the trailing
-    # mask.ndim axes of field; mask is symmetric under j -> -j. d2 adds the
-    # last axis term last, so along it the distance grows with |j|: each
-    # 1-D chord is the interval |j| <= k, 2k + 1 classes, or the whole
-    # circle, whose even window covers every class once
-    N = field.shape[-1]
-    widest = int(mask.reshape(-1, N).sum(axis=1).max())
-    pad = widest // 2
-    table = [np.take(field, np.arange(-pad, N + pad) % N, axis=-1)]
-    while 2 ** len(table) <= widest:
+    N = field.shape[0]
+    pad, rows = _chord_rows(field.ndim, N, radius)
+    idx = np.arange(-pad, N + pad) % N
+    table = [field[np.ix_(*[idx] * field.ndim)]]
+    while 2 ** len(table) <= 2 * pad + 1:
         half = 2 ** (len(table) - 1)
         table.append(np.maximum(table[-1][..., :-half], table[-1][..., half:]))
-
-    def chord(w):
+    chords = {}
+    for w in dict.fromkeys(w for w, _ in rows):
         k = w.bit_length() - 1
-        lo = pad - (w - 1) // 2
+        lo = pad - w // 2
         hi = lo + w - 2**k
-        return np.maximum(table[k][..., lo:lo + N], table[k][..., hi:hi + N])
-
-    def union(sub):
-        if sub.ndim == 1:
-            return chord(int(sub.sum()))
-        axis = field.ndim - sub.ndim
-        out = None
-        chords = {}
-        for a, row in enumerate(sub):
-            if not row.any():
-                continue
-            key = row.tobytes()
-            if key not in chords:
-                chords[key] = union(row)
-            # out[x] takes the chord max at x + a along the leading mask axis
-            shifted = np.roll(chords[key], -a, axis=axis)
-            out = shifted if out is None else np.maximum(out, shifted, out=out)
-        return out
-
-    return union(mask)
+        chords[w] = np.maximum(table[k][..., lo:lo + N], table[k][..., hi:hi + N])
+    out = np.full(field.shape, -np.inf)
+    for w, lead in rows:
+        np.maximum(out, chords[w][lead], out=out)
+    return out

@@ -12,6 +12,7 @@ from conical_lab.grid import (
     TimeGrid,
     UpperHalfField,
     ball_cells,
+    ball_kernel,
     ball_max,
     ball_sum,
     lp_norm_weighted,
@@ -19,6 +20,8 @@ from conical_lab.grid import (
 )
 from conical_lab import grid as gridmod
 from conical_lab.elliptic import CoefficientField
+from conical_lab.vericli import ExperimentConfig, run_carleson_suite
+from conical_lab.weights import BallFamily
 
 
 def brute_torus_distance(x, y, n):
@@ -174,6 +177,9 @@ def test_upperhalffield_shape():
     UpperHalfField(g, tg, np.zeros((3, 16)))
     with pytest.raises(ValueError):
         UpperHalfField(g, tg, np.zeros((2, 16)))
+    # a ladder tied to a finer grid starts below this grid's h/2
+    with pytest.raises(ValueError, match="time grid"):
+        UpperHalfField(Grid(2, 16), TimeGrid.spanning(Grid(2, 32)), np.ones((16, 16, 16)))
 
 
 def test_ball_sum_and_max_against_bruteforce():
@@ -273,46 +279,58 @@ def scipy_chord_max(field, mask):
     return out
 
 
-def window_mask(N, w):
-    # the 1-D chord of w classes: |j| <= (w - 1) / 2 for odd w, all of them for w = N
-    j = np.arange(N)
-    return np.minimum(j, N - j) <= (w - 1) // 2 if w < N else np.ones(N, dtype=bool)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_chord_windows_match_scipy_wrapped_max(n):
-    rng = np.random.default_rng(40 + n)
-    for N in (2, 4, 8, 16, 32, 64):
-        if N**n > 2**15:
-            continue
-        # small integers give ties between cells, normals give none
-        fields = (rng.integers(-3, 4, (N,) * n).astype(float), rng.standard_normal((N,) * n))
-        for w in [*range(1, N, 2), N]:
-            mask = window_mask(N, w)
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+def test_ball_max_windows_match_scipy_wrapped_max(N):
+    # on a circle the open ball of radius r in (k h, (k + 1) h] is the
+    # window of w = 2k + 1 cells, every odd width up to N - 1
+    rng = np.random.default_rng(40 + N)
+    h = 1.0 / N
+    # small integers give ties between cells, normals give none
+    fields = (rng.integers(-3, 4, N).astype(float), rng.standard_normal(N))
+    for w in range(1, N, 2):
+        k = w // 2
+        for r in ((k + 0.5) * h, (k + 1) * h):
             for field in fields:
-                for ax in range(n):
-                    got = np.moveaxis(gridmod._chord_max(np.moveaxis(field, ax, -1), mask), -1, ax)
-                    want = maximum_filter1d(field, w, axis=ax, mode="wrap")
-                    assert np.array_equal(got, want), (n, N, w, ax)
+                want = maximum_filter1d(field, w, mode="wrap")
+                assert np.array_equal(ball_max(field, r), want), (N, w, r)
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_chord_tables_match_scipy_chords(n):
-    # several chord widths share one table: ball masks, and the closed ball
-    # of radius 1/2, whose central chord is the whole circle beside odd ones
+def test_ball_max_matches_scipy_chords(n):
+    # several chord widths share one table; the transposed field runs the
+    # chords along what was the first axis
     rng = np.random.default_rng(50 + n)
-    for N in (2, 4, 8, 16, 32, 64):
+    for N in (8, 16, 32, 64):
         if N**n > 2**12:
             continue
         dist = gridmod._displacement_distance(n, N)
-        radii = np.unique(dist[dist > 0])
+        radii = np.unique(dist[(dist > 0) & (dist <= 0.5)])
         radii = radii[np.linspace(0, len(radii) - 1, min(len(radii), 10)).astype(int)]
-        for mask in [dist < r for r in radii] + [dist <= 0.5]:
+        for r in radii:
             # small integers give ties between cells, normals give none
             for field in (rng.integers(-3, 4, (N,) * n).astype(float),
                           rng.standard_normal((N,) * n)):
-                got = gridmod._chord_max(field, mask)
-                assert np.array_equal(got, scipy_chord_max(field, mask)), (n, N)
+                got = ball_max(field, r)
+                assert np.array_equal(got, scipy_chord_max(field, dist < r)), (n, N, r)
+                assert np.array_equal(ball_max(field.T, r), got.T), (n, N, r)
+
+
+def test_chord_plan_rows_and_cache():
+    for n, N in [(1, 64), (2, 32), (3, 16)]:
+        dist = gridmod._displacement_distance(n, N)
+        for r in np.unique(dist[(dist > 0) & (dist <= 0.5)]):
+            pad, rows = gridmod._chord_rows(n, N, r)
+            widths = [w for w, _ in rows]
+            assert sum(widths) == ball_kernel(n, N, r)[1]
+            assert all(w % 2 == 1 for w in widths) and max(widths) == 2 * pad + 1
+            for _, lead in rows:
+                assert len(lead) == n - 1
+                assert all(abs(s.start - pad) <= pad and s.stop - s.start == N for s in lead)
+    # a default carleson run plans each ball of its two grids once
+    gridmod._chord_rows.cache_clear()
+    run_carleson_suite(ExperimentConfig.parse("seed = 1"))
+    balls = sum(len(BallFamily.dense_dyadic(Grid(2, N)).radii) for N in (16, 32))
+    assert gridmod._chord_rows.cache_info().misses == balls
 
 
 def test_serialization_roundtrip_and_header(tmp_path):
