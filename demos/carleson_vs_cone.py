@@ -17,7 +17,6 @@ def main():
     g = Grid(2, 16)
     tg = TimeGrid.spanning(g)
     fam = BallFamily.dense_dyadic(g)
-    cone = tent.ConeParams(aperture=1.0, q=2.0)
     rng = np.random.default_rng(4)
 
     hi = lo = 0.0
@@ -29,7 +28,7 @@ def main():
         a = tent.carleson_functional(F, 2.0, fam).values.real
         b = tent.carleson_p0(F, 2.0, 2.0, fam).values.real
         hi, lo = max(hi, (b / a).max()), max(lo, (a / b).max())
-        na = lp_norm_weighted(tent.cone_functional(F, cone), 1.0, 2.0)
+        na = lp_norm_weighted(tent.cone_functional(F, 1.0), 1.0, 2.0)
         nc = lp_norm_weighted(tent.carleson_p0(F, 2.0, 1.2, fam), 1.0, 2.0)
         ratios.append(na / nc)
 

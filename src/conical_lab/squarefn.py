@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TimeGrid, UpperHalfField
-from .tent import ConeParams, cone_functional
+from .tent import cone_functional
 
 # family tag -> (semigroup, integrand kind, minimum order)
 FAMILIES = {
@@ -73,7 +73,7 @@ def integrand_field(op, spec, f):
 def evaluate(op, spec, f):
     """The conical square function of f as a grid function."""
     F = integrand_field(op, spec, f)
-    return cone_functional(F, ConeParams(aperture=1.0, q=2.0))
+    return cone_functional(F, 1.0)
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,10 @@ def pointwise_domination_report(op, f):
     """Check the component-subset and factor-two dominations cell by cell,
     at orders 0, 1 and 2 on the ladder spanning the operator's grid."""
     tg = TimeGrid.spanning(op.grid)
-    cone = ConeParams(aperture=1.0, q=2.0)
     grid = op.grid
 
     def cone_of(mags):
-        return cone_functional(UpperHalfField(grid, tg, mags), cone).values.real
+        return cone_functional(UpperHalfField(grid, tg, mags), 1.0).values.real
 
     worst = {"heat": 0.0, "poisson": 0.0}
     heat_zero_time = heat_zero_full = None

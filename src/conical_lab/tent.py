@@ -20,47 +20,40 @@ from .weights import hl_maximal
 # ------------------------------------------------------------------- cones
 
 
-@dataclass(frozen=True)
-class ConeParams:
-    """Aperture and integrability exponent of a cone over every time level."""
-
-    aperture: float
-    q: float = 2.0
-
-    def __post_init__(self):
-        if self.aperture <= 0:
-            raise ValueError("aperture must be positive")
-        if self.q <= 0:
-            raise ValueError("q must be positive")
-
-
-def cone_functional(F, params):
-    """Aperture-alpha cone functional of an upper-half-space field.
-
-    At each cell x: (sum_k sum_{d(y,x) < alpha t_k} |F(y,t_k)|^q
-    h^n dlog / t_k^n)^{1/q}, summed over every level k of the ladder.
-    """
-    alpha, q = params.aperture, params.q
+def _cone_sums(F, alpha, q):
+    """Per-level cone sums of |F|^q at aperture alpha, stacked along the
+    ladder: level k at x is sum_{d(y,x) < alpha t_k} |F(y,t_k)|^q h^n dlog
+    / t_k^n. The one stack is scaled in place, level by level."""
     grid, tg = F.grid, F.tgrid
-    t_top = tg.levels[-1]
-    if alpha * t_top > 0.5 + 1e-12:
+    sums = ball_sum(np.abs(F.values) ** q, [min(alpha * t, 0.5) for t in tg.levels])
+    scale = np.array([tg.dlog * (grid.h / t) ** grid.n for t in tg.levels])
+    sums *= scale.reshape(-1, *(1,) * grid.n)
+    return sums
+
+
+def cone_functional(F, aperture):
+    """Cone functional of an upper-half-space field at the given aperture,
+    with q = 2: at each cell x, the square root of the sum of its cone sums
+    over every level of the ladder."""
+    if aperture <= 0:
+        raise ValueError("aperture must be positive")
+    t_top = F.tgrid.levels[-1]
+    if aperture * t_top > 0.5 + 1e-12:
         raise ValueError(
-            f"aperture {alpha} * top level {t_top} exceeds 1/2; "
+            f"aperture {aperture} * top level {t_top} exceeds 1/2; "
             "cone cross-sections would wrap around the torus")
-    levels = ball_sum(np.abs(F.values) ** q, [min(alpha * t, 0.5) for t in tg.levels])
-    acc = np.zeros(grid.shape)
-    for t, level in zip(tg.levels, levels):
-        acc += (tg.dlog * (grid.h / t) ** grid.n) * level
-    return GridFunction(grid, acc ** (1.0 / q))
+    return GridFunction(F.grid, np.sqrt(_cone_sums(F, aperture, 2.0).sum(axis=0)))
 
 
 # --------------------------------------------------------- Carleson boxes
 
 
-def _box_radii(tgrid, family):
+def _box_radii(F, family):
     """The family radii r with a level t_k <= r, and for each the index of
     its last such level: the levels under a box form a prefix of the ladder."""
-    ends = np.searchsorted(np.asarray(tgrid.levels), family.radii, side="right") - 1
+    if family.grid != F.grid:
+        raise ValueError("family grid does not match the field")
+    ends = np.searchsorted(np.asarray(F.tgrid.levels), family.radii, side="right") - 1
     keep = ends >= 0
     return [r for r, hit in zip(family.radii, keep) if hit], ends[keep]
 
@@ -71,11 +64,9 @@ def carleson_functional(F, q, family):
     if q <= 0:
         raise ValueError("q must be positive")
     grid, tg = F.grid, F.tgrid
-    if family.grid != grid:
-        raise ValueError("family grid does not match the field")
+    radii, ends = _box_radii(F, family)
     prefix = np.cumsum(np.abs(F.values) ** q, axis=0)
     out = np.zeros(grid.shape)
-    radii, ends = _box_radii(tg, family)
     if radii:
         for r, total in zip(radii, ball_sum(prefix[ends], radii)):
             _, cnt = ball_kernel(grid.n, grid.N, r)
@@ -90,14 +81,10 @@ def carleson_p0(F, q, p0, family):
     h^n dlog / t_k^n)^{p0/q} h^n)^{1/p0}."""
     if q <= 0 or p0 <= 0:
         raise ValueError("q and p0 must be positive")
-    grid, tg = F.grid, F.tgrid
-    if family.grid != grid:
-        raise ValueError("family grid does not match the field")
-    sums = ball_sum(np.abs(F.values) ** q, [min(t, 0.5) for t in tg.levels])
-    terms = [tg.dlog * (grid.h / t) ** grid.n * s for t, s in zip(tg.levels, sums)]
-    prefix = np.cumsum(np.stack(terms), axis=0)
+    grid = F.grid
+    radii, ends = _box_radii(F, family)
+    prefix = np.cumsum(_cone_sums(F, 1.0, q), axis=0)
     out = np.zeros(grid.shape)
-    radii, ends = _box_radii(tg, family)
     if radii:
         for r, total in zip(radii, ball_sum(prefix[ends] ** (p0 / q), radii)):
             _, cnt = ball_kernel(grid.n, grid.N, r)

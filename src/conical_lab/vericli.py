@@ -7,9 +7,9 @@ the analytically checked weight classes are emitted as info, never as fail:
 nothing is asserted where the hypotheses do not hold.
 
 Two protocols, each written once. Fitted constant (_fit_holdout): the
-constant is fitted on the first half of the samples and asserted on the
-second half; where the class is not certain, one info row carries the worst
-ratio instead. Refinement stability (_drift_rows): a quantity counts as
+constant is fitted on the first half of the samples, rounded down, and
+asserted on the rest; where the class is not certain, one info row carries
+the worst ratio instead. Refinement stability (_drift_rows): a quantity counts as
 bounded when its value at N is finite and stays within the configured drift
 factor of its value at N/2.
 """
@@ -23,6 +23,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from typing import get_args
 
 import numpy as np
 
@@ -58,12 +59,6 @@ class ConfigError(ValueError):
     """Bad configuration or usage; the CLI maps this to exit code 2."""
 
 
-_INT_KEYS = ("n", "N", "levels", "samples", "seed", "order")
-_FLOAT_KEYS = (
-    "t0", "ratio", "theta", "p", "p0", "r", "s",
-    "tol", "drift", "margin", "t", "radius",
-)
-_TUPLE_KEYS = ("apertures", "center", "separations", "p_list")
 _LOWER_BOUNDS = (
     ("samples", ">=", 2), ("p", ">", 0), ("p0", ">", 0),
     ("t", ">", 0), ("order", ">=", 0), ("tol", ">", 0),
@@ -73,13 +68,14 @@ _LOWER_BOUNDS = (
 )
 
 
-def _parse_scalar(key, value):
+def _parse_scalar(key, kind, value):
+    """value parsed as kind: int, float, a tuple of floats, or else str."""
     try:
-        if key in _INT_KEYS:
+        if kind is int:
             return int(value)
-        if key in _FLOAT_KEYS:
+        if kind is float:
             value = float(value)
-        elif key in _TUPLE_KEYS:
+        elif kind is tuple:
             value = tuple(float(x) for x in value.split(",") if x.strip())
         else:
             return value
@@ -155,13 +151,16 @@ class ExperimentConfig:
                 raise ConfigError(f"--set needs key=value, got {item!r}")
             key, value = item.split("=", 1)
             raw[key.strip()] = value.strip()
-        known = {f.name for f in fields(cls)}
+        # each key parses to its field's annotation, X or X | None
+        kinds = {f.name: next(t for t in get_args(f.type) or (f.type,)
+                              if t is not type(None))
+                 for f in fields(cls)}
         for key in raw:
-            if key not in known:
+            if key not in kinds:
                 raise ConfigError(f"unknown config key {key!r}")
         if "seed" not in raw:
             raise ConfigError("seed is mandatory")
-        cfg = cls(**{k: _parse_scalar(k, v) for k, v in raw.items()})
+        cfg = cls(**{k: _parse_scalar(k, kinds[k], v) for k, v in raw.items()})
         if not cfg.identity:
             # only these runs can reach the dense fallback: load scipy.linalg
             # with the configuration, before the experiment starts
@@ -339,14 +338,19 @@ def _rand_gf(grid, rng):
 def _fit_holdout(table, experiment, params, ratios, margin, note=None):
     """One fitted-constant row pair: the constant, then the holdout verdict.
 
-    A note marks the class as not certain: then a single info row, tagged
-    with the note, carries the worst ratio and nothing is asserted.
+    ratios holds one entry per sample, a ratio or a row of ratios; the fit
+    takes the first half of the samples, rounded down, so no sample's field
+    lies on both sides. A note marks the class as not certain: then a single
+    info row, tagged with the note, carries the worst ratio and nothing is
+    asserted.
     """
+    rows = np.asarray(ratios, dtype=float).reshape(len(ratios), -1)
     if note is not None:
-        table.info(experiment, {**params, "note": note}, max(ratios))
+        table.info(experiment, {**params, "note": note}, rows.max())
         return
-    half = max(1, len(ratios) // 2)
-    report = tent.fitted_bound_report(ratios[:half], ratios[half:], margin=margin)
+    half = max(1, len(rows) // 2)
+    report = tent.fitted_bound_report(rows[:half].ravel(), rows[half:].ravel(),
+                                      margin=margin)
     table.info(experiment, {**params, "stat": "fitted_constant"},
                report.constant, provenance="fitted")
     table.add(experiment, {**params, "stat": "holdout_max"},
@@ -438,8 +442,7 @@ def run_change_of_angle(cfg):
         F = _rand_field(grid, tgrid, rng)
         norms = {
             a: lp_norm_weighted(
-                tent.cone_functional(F, tent.ConeParams(aperture=a)),
-                weight.values, p)
+                tent.cone_functional(F, a), weight.values, p)
             for a in alphas
         }
         out = []
@@ -450,12 +453,11 @@ def run_change_of_angle(cfg):
                 out.append((norms[a] / norms[b]) / (a / b) ** exponent)
         return out
 
-    ratios = [x for chunk in _map_samples(one, cfg.seed, cfg.count(20))
-              for x in chunk]
+    rows = _map_samples(one, cfg.seed, cfg.count(20))
     table = ResultTable()
     params = {**label, "n": grid.n, "N": grid.N, "p": p, "theta": cfg.theta,
               "exponent": exponent, "apertures": list(alphas)}
-    _fit_holdout(table, "angles", params, ratios, cfg.margin)
+    _fit_holdout(table, "angles", params, rows, cfg.margin)
     return table
 
 
@@ -502,11 +504,10 @@ def run_carleson_suite(cfg):
 
     weight = cfg.build_weight(grid)
     in_class = power_weight_in_Ar(cfg.theta, grid.n, p / p0)
-    cone = tent.ConeParams(aperture=1.0, q=2.0)
 
     def one(rng):
         F = _rand_field(grid, tgrid, rng)
-        na = lp_norm_weighted(tent.cone_functional(F, cone), weight.values, p)
+        na = lp_norm_weighted(tent.cone_functional(F, 1.0), weight.values, p)
         nc = lp_norm_weighted(tent.carleson_p0(F, 2.0, p0, fam), weight.values, p)
         return na / nc, nc / na
 
@@ -703,12 +704,13 @@ def run_boundedness(cfg):
     for family in families:
         for p in p_list:
             # pass/fail needs a certain weight class: identity coefficients
-            # put every p in range when w_theta is in A_p; other presets are
-            # certain only at p = 2 with the flat weight, and their Poisson
-            # rows stay informational because the upper endpoint is only
-            # bracketed
+            # put every p > 1 in range when w_theta is in A_p (A_p needs
+            # p >= 1, and the range is open at p_-(L) = 1); other presets
+            # are certain only at p = 2 with the flat weight, and their
+            # Poisson rows stay informational because the upper endpoint is
+            # only bracketed
             if cfg.identity:
-                certain = power_weight_in_Ar(cfg.theta, n, p)
+                certain = p > 1 and power_weight_in_Ar(cfg.theta, n, p)
             else:
                 certain = (p == 2.0 and cfg.theta == 0.0
                            and not family.endswith("_p"))

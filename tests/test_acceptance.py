@@ -182,7 +182,7 @@ def test_06_change_of_angle_protocol():
     for sub in np.random.SeedSequence(606).spawn(50):
         F = _rand_field(g, tg, np.random.default_rng(sub))
         norms = {a: lp_norm_weighted(
-            tent.cone_functional(F, tent.ConeParams(aperture=a)), w.values, p)
+            tent.cone_functional(F, a), w.values, p)
             for a in alphas}
         ratios.extend((norms[a] / norms[b]) / (a / b) ** exponent
                       for a, b in pairs)
@@ -211,11 +211,10 @@ def test_07_carleson_suite():
     fam = BallFamily.dense_dyadic(g)
     w = Weight.power_law(g, -1.0)
     assert power_weight_in_Ar(-1.0, 2, 3.0 / 1.2)
-    cone = tent.ConeParams(aperture=1.0, q=2.0)
     fwd, rev = [], []
     for sub in np.random.SeedSequence(707).spawn(30):
         F = _rand_field(g, tg, np.random.default_rng(sub))
-        na = lp_norm_weighted(tent.cone_functional(F, cone), w.values, 3.0)
+        na = lp_norm_weighted(tent.cone_functional(F, 1.0), w.values, 3.0)
         nc = lp_norm_weighted(tent.carleson_p0(F, 2.0, 1.2, fam), w.values, 3.0)
         fwd.append(na / nc)
         rev.append(nc / na)

@@ -155,7 +155,7 @@ class TestEvaluate:
         direct = sf.evaluate(lap1, spec, f).values.real
         comps = poisson_ladder(lap1, spec.order, "none", tg.levels, f)
         F = UpperHalfField(lap1.grid, tg, np.abs(comps[:, 0]))
-        sub = tent.cone_functional(F, tent.ConeParams(aperture=1.0, q=2.0)).values.real
+        sub = tent.cone_functional(F, 1.0).values.real
         err = float(np.abs(direct - sub).max()) / float(direct.max())
         assert err < 1e-3
 

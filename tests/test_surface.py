@@ -1,7 +1,7 @@
 """No code without a caller: every public function, class and method of the
 package is referenced by the package itself, a demo or a perfbench script,
-every option of the package is set by one of them, and every value the
-package stores is read by one of them.
+every option of the package is set by one of them, and to more than one
+value, and every value the package stores is read by one of them.
 
 Names that only tests reach belong in tests/oracles.py. The name scan is by
 name (ast Name, Attribute and import alias nodes), so it catches a public
@@ -9,6 +9,8 @@ name that nothing outside tests mentions; it cannot tell two same-named
 methods apart. The option scan matches calls the same way: a call of a
 function, method or class by its name may pass a defaulted parameter or
 dataclass field by keyword, by position, or through * or ** unpacking.
+The value scan reads what each such call gives the option: a literal, the
+default when the call leaves it out, or anything else, which may vary.
 The state scan is by name as well: a dataclass field or an attribute set
 on self counts as read when an attribute of that name is loaded anywhere,
 so a copy such as op.lam would pass on a read of coeff.lam.
@@ -23,6 +25,13 @@ PACKAGE = ROOT / "src" / "conical_lab"
 # the documented coefficient-file format (README, "Binary formats") is public
 # API for files, not for the program: to_file is how a user writes one
 ALLOWED = {"CoefficientField.to_file"}
+
+# the gradients' only program caller is the benchmark's oracle script, whose
+# files stay fixed between benchmark changes; it passes mode="full" each time
+CONSTANT_ALLOWED = {
+    "elliptic.EllipticOperator.heat_gradient(mode=)",
+    "elliptic.EllipticOperator.poisson_gradient(mode=)",
+}
 
 
 def _caller_files():
@@ -76,20 +85,22 @@ def _name(node):
 
 
 def _function_options(fn, skip):
-    """(parameter, position or None) of each defaulted parameter of fn;
-    position counts the arguments a call writes, after the skip bound ones."""
+    """(parameter, position or None, default) of each defaulted parameter of
+    fn; position counts the arguments a call writes, after the skip bound
+    ones."""
     args = fn.args.posonlyargs + fn.args.args
     first = len(args) - len(fn.args.defaults)
-    for i, arg in enumerate(args[first:], first):
-        yield arg.arg, i - skip
+    for i, (arg, default) in enumerate(zip(args[first:], fn.args.defaults), first):
+        yield arg.arg, i - skip, default
     for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
         if default is not None:
-            yield arg.arg, None
+            yield arg.arg, None, default
 
 
 def _dataclass_options(cls, field_names):
-    """(field, position) of each defaulted dataclass field; a field(...)
-    default is state built per instance, not an option, and is skipped."""
+    """(field, position, default) of each defaulted dataclass field; a
+    field(...) default is state built per instance, not an option, and is
+    skipped."""
     fields = [s for s in cls.body
               if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
     for i, stmt in enumerate(fields):
@@ -97,12 +108,12 @@ def _dataclass_options(cls, field_names):
         if value is None or (isinstance(value, ast.Call)
                              and _name(value) in field_names):
             continue
-        yield stmt.target.id, i
+        yield stmt.target.id, i, value
 
 
 def _options(path):
-    """(qualified name, callee name, parameter, position) of every option of
-    the public functions, methods and dataclasses defined in path."""
+    """(qualified name, callee name, parameter, position, default) of every
+    option of the public functions, methods and dataclasses defined in path."""
     tree = ast.parse(path.read_text())
     # the local names of dataclasses.field, e.g. "field as dfield"
     field_names = {a.asname or a.name for node in tree.body
@@ -113,12 +124,12 @@ def _options(path):
                 or node.name.startswith("_")):
             continue
         if isinstance(node, ast.FunctionDef):
-            for param, pos in _function_options(node, 0):
-                yield node.name, node.name, param, pos
+            for option in _function_options(node, 0):
+                yield node.name, node.name, *option
             continue
         if "dataclass" in map(_name, node.decorator_list):
-            for param, pos in _dataclass_options(node, field_names):
-                yield node.name, node.name, param, pos
+            for option in _dataclass_options(node, field_names):
+                yield node.name, node.name, *option
         for item in node.body:
             if not isinstance(item, ast.FunctionDef):
                 continue
@@ -129,14 +140,15 @@ def _options(path):
             else:
                 callee = item.name
             bound = 0 if "staticmethod" in map(_name, item.decorator_list) else 1
-            for param, pos in _function_options(item, bound):
-                yield f"{node.name}.{item.name}", callee, param, pos
+            for option in _function_options(item, bound):
+                yield f"{node.name}.{item.name}", callee, *option
 
 
 class _Calls(ast.NodeVisitor):
-    """Every call in a file as (callee name, positions, keywords); positions
-    is the count of plain positional arguments, or None when a * argument
-    may fill any position, and keywords is None when ** may pass any."""
+    """Every call in a file as (callee name, positional, keywords);
+    positional lists the plain positional argument nodes, or is None when a
+    * argument may fill any position, and keywords maps each keyword to its
+    value node, or is None when ** may pass any."""
 
     def __init__(self):
         self.calls = []
@@ -152,8 +164,8 @@ class _Calls(ast.NodeVisitor):
         if name == "cls" and isinstance(node.func, ast.Name) and self.classes:
             name = self.classes[-1]
         starred = any(isinstance(a, ast.Starred) for a in node.args)
-        keywords = {k.arg for k in node.keywords}
-        self.calls.append((name, None if starred else len(node.args),
+        keywords = {k.arg: k.value for k in node.keywords}
+        self.calls.append((name, None if starred else node.args,
                            None if None in keywords else keywords))
         self.generic_visit(node)
 
@@ -166,12 +178,12 @@ def _calls():
 
 
 def _is_set(callee, param, pos, calls):
-    for name, positions, keywords in calls:
+    for name, positional, keywords in calls:
         if name != callee:
             continue
         if keywords is None or param in keywords:
             return True
-        if pos is not None and (positions is None or pos < positions):
+        if pos is not None and (positional is None or pos < len(positional)):
             return True
     return False
 
@@ -181,9 +193,48 @@ def test_every_option_has_a_caller():
     calls = _calls()
     unset = [f"{path.stem}.{qual}({param}=)"
              for path in sorted(PACKAGE.glob("*.py"))
-             for qual, callee, param, pos in _options(path)
+             for qual, callee, param, pos, _ in _options(path)
              if not _is_set(callee, param, pos, calls)]
     assert unset == []
+
+
+_VARYING = object()
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _VARYING
+
+
+def _given(param, pos, default, positional, keywords):
+    """The value one call gives an option, or _VARYING."""
+    if keywords is None:
+        return _VARYING
+    if param in keywords:
+        return _literal(keywords[param])
+    if pos is not None:
+        if positional is None:
+            return _VARYING
+        if pos < len(positional):
+            return _literal(positional[pos])
+    return _literal(default)
+
+
+def test_every_option_takes_more_than_one_value():
+    # an option that every program call sets to the same value is a
+    # constant written at each call: write it once
+    calls = _calls()
+    constant = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qual, callee, param, pos, default in _options(path):
+            given = [_given(param, pos, default, positional, keywords)
+                     for name, positional, keywords in calls if name == callee]
+            if (given and _VARYING not in given
+                    and all(v == given[0] for v in given)):
+                constant.append(f"{path.stem}.{qual}({param}=)")
+    assert sorted(set(constant) - CONSTANT_ALLOWED) == []
 
 
 # ------------------------------------------------------------- stored state

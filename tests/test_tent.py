@@ -30,7 +30,6 @@ from conical_lab.weights import (
     power_weight_in_RHs,
 )
 from conical_lab import tent
-from conical_lab.tent import ConeParams
 from oracles import cell_slices, cube_sides_and_dists, iter_balls
 
 
@@ -40,17 +39,17 @@ def rand_field(grid, tgrid, rng):
     return UpperHalfField(grid, tgrid, vals)
 
 
-def brute_cone(F, params):
+def brute_cone(F, aperture, q=2.0):
     grid, tg = F.grid, F.tgrid
     centers = grid.cell_centers().reshape(-1, grid.n)
-    flat = np.abs(F.values).reshape(len(tg.levels), -1) ** params.q
+    flat = np.abs(F.values).reshape(len(tg.levels), -1) ** q
     out = np.zeros(grid.ncells)
     for i, c in enumerate(centers):
         acc = 0.0
         for k, t in enumerate(tg.levels):
-            cells = ball_cells(grid, c, min(params.aperture * t, 0.5))
+            cells = ball_cells(grid, c, min(aperture * t, 0.5))
             acc += tg.dlog * (grid.h / t) ** grid.n * flat[k][cells].sum()
-        out[i] = acc ** (1.0 / params.q)
+        out[i] = acc ** (1.0 / q)
     return out.reshape(grid.shape)
 
 
@@ -114,40 +113,43 @@ def lab32():
 
 
 class TestConeParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConeParams(aperture=0.0)
-        with pytest.raises(ValueError):
-            ConeParams(aperture=1.0, q=0.0)
+    """The cone's one parameter, its aperture, is checked at evaluation."""
+
+    def test_validation(self, lab1):
+        _, _, F = lab1
+        for aperture in (0.0, -0.5):
+            with pytest.raises(ValueError, match="positive"):
+                tent.cone_functional(F, aperture)
 
     def test_wraparound_rejected_at_evaluation(self, lab1):
         grid, tg, F = lab1
-        # ConeParams knows no ladder, so the wrap check runs at evaluation
-        params = ConeParams(aperture=1.3)
         assert 1.3 * max(tg.levels) > 0.5
         with pytest.raises(ValueError, match="wrap around"):
-            tent.cone_functional(F, params)
+            tent.cone_functional(F, 1.3)
 
 
 class TestConeFunctional:
     def test_zero_field(self, lab1):
         grid, tg, _ = lab1
         Z = UpperHalfField(grid, tg, np.zeros((len(tg.levels), *grid.shape)))
-        out = tent.cone_functional(Z, ConeParams(aperture=1.0))
+        out = tent.cone_functional(Z, 1.0)
         assert np.all(out.values == 0)
 
     @pytest.mark.parametrize("aperture,q", [(0.5, 2.0), (1.0, 2.0), (1.0, 1.5)])
     def test_matches_brute_1d(self, lab1, aperture, q):
+        # the per-level sums that cone_functional (q = 2) and carleson_p0
+        # (any q) share; at q = 2 their root over levels is the functional
         grid, tg, F = lab1
-        params = ConeParams(aperture=aperture, q=q)
-        got = tent.cone_functional(F, params).values.real
-        np.testing.assert_allclose(got, brute_cone(F, params), rtol=1e-12)
+        got = tent._cone_sums(F, aperture, q).sum(axis=0) ** (1.0 / q)
+        np.testing.assert_allclose(got, brute_cone(F, aperture, q), rtol=1e-12)
+        if q == 2.0:
+            cone = tent.cone_functional(F, aperture).values.real
+            assert np.array_equal(cone, got)
 
     def test_matches_brute_2d(self, lab2):
         grid, tg, F = lab2
-        params = ConeParams(aperture=1.0, q=2.0)
-        got = tent.cone_functional(F, params).values.real
-        np.testing.assert_allclose(got, brute_cone(F, params), rtol=1e-12)
+        got = tent.cone_functional(F, 1.0).values.real
+        np.testing.assert_allclose(got, brute_cone(F, 1.0), rtol=1e-12)
 
     def test_constant_slices_closed_form(self, lab1):
         # F(y, t_k) = c_k is constant in y, so every cone integrates the
@@ -157,7 +159,7 @@ class TestConeFunctional:
         F = UpperHalfField(
             grid, tg, np.broadcast_to(c[:, None], (len(c), grid.N)).copy()
         )
-        out = tent.cone_functional(F, ConeParams(aperture=1.0, q=2.0)).values.real
+        out = tent.cone_functional(F, 1.0).values.real
         expect = 0.0
         for k, t in enumerate(tg.levels):
             _, cnt = ball_kernel(grid.n, grid.N, min(t, 0.5))
@@ -166,18 +168,9 @@ class TestConeFunctional:
 
     def test_aperture_monotone(self, lab2):
         grid, tg, F = lab2
-        a = tent.cone_functional(F, ConeParams(aperture=0.5)).values.real
-        b = tent.cone_functional(F, ConeParams(aperture=1.0)).values.real
+        a = tent.cone_functional(F, 0.5).values.real
+        b = tent.cone_functional(F, 1.0).values.real
         assert np.all(a <= b + 1e-12)
-
-    def test_power_identity(self, lab2):
-        # A_q F = (A_2 |F|^{q/2})^{2/q} holds exactly, not approximately
-        grid, tg, F = lab2
-        q = 3.0
-        lhs = tent.cone_functional(F, ConeParams(aperture=1.0, q=q)).values.real
-        H = UpperHalfField(grid, tg, np.abs(F.values) ** (q / 2))
-        rhs = tent.cone_functional(H, ConeParams(aperture=1.0, q=2.0)).values.real
-        np.testing.assert_allclose(lhs, rhs ** (2.0 / q), rtol=1e-13)
 
 
 class TestContinuousCone:
@@ -310,16 +303,18 @@ class TestCarleson:
         other = BallFamily.dense_dyadic(Grid(1, 32))
         with pytest.raises(ValueError, match="family grid"):
             tent.carleson_functional(F, 2.0, other)
+        with pytest.raises(ValueError, match="family grid"):
+            tent.carleson_p0(F, 2.0, 1.5, other)
 
 
-def loop_cone(F, params):
+def loop_cone(F, aperture):
     # one ball sum per level, accumulated in ladder order
     grid, tg = F.grid, F.tgrid
     acc = np.zeros(grid.shape)
     for k, t in enumerate(tg.levels):
-        level = ball_sum(np.abs(F.values[k]) ** params.q, min(params.aperture * t, 0.5))
+        level = ball_sum(np.abs(F.values[k]) ** 2, min(aperture * t, 0.5))
         acc += (tg.dlog * (grid.h / t) ** grid.n) * level
-    return acc ** (1.0 / params.q)
+    return acc ** 0.5
 
 
 def loop_carleson(F, q, family):
@@ -373,14 +368,11 @@ class TestStackedBallSums:
         for radii in ((0.125, 0.25, 0.5), (0.125,)):
             yield grid, tg, BallFamily(grid, radii), rand_field(grid, tg, rng)
 
-    @pytest.mark.parametrize("params", [
-        ConeParams(aperture=1.0),
-        ConeParams(aperture=0.5, q=1.5),
-    ])
-    def test_cone_matches_level_loop(self, params):
+    @pytest.mark.parametrize("aperture", [1.0, 0.5])
+    def test_cone_matches_level_loop(self, aperture):
         for grid, tg, _, F in self._labs():
-            got = tent.cone_functional(F, params).values.real
-            assert np.array_equal(got, loop_cone(F, params))
+            got = tent.cone_functional(F, aperture).values.real
+            assert np.array_equal(got, loop_cone(F, aperture))
 
     @pytest.mark.parametrize("q", [2.0, 1.5])
     def test_carleson_matches_radius_loop(self, q):
@@ -460,14 +452,13 @@ class TestFittedBounds:
             w = Weight.power_law(grid, theta)
             # the reverse direction needs w in A_{p/p0}
             assert power_weight_in_Ar(theta, grid.n, p / p0)
-        cone = ConeParams(aperture=1.0, q=2.0)
         rng = np.random.default_rng(210)
 
         def ratios(count):
             fwd, rev = [], []
             for _ in range(count):
                 F = rand_field(grid, tg, rng)
-                na = lp_norm_weighted(tent.cone_functional(F, cone), w.values, p)
+                na = lp_norm_weighted(tent.cone_functional(F, 1.0), w.values, p)
                 nc = lp_norm_weighted(tent.carleson_p0(F, 2.0, p0, fam), w.values, p)
                 fwd.append(na / nc)
                 rev.append(nc / na)
@@ -495,7 +486,7 @@ class TestFittedBounds:
                 F = rand_field(grid, tg, rng)
                 norms = {
                     a: lp_norm_weighted(
-                        tent.cone_functional(F, ConeParams(aperture=a)), w.values, p
+                        tent.cone_functional(F, a), w.values, p
                     )
                     for a in {x for pair in pairs for x in pair}
                 }
@@ -522,7 +513,7 @@ class TestFittedBounds:
                 F = rand_field(grid, tg, rng)
                 norms = {
                     a: lp_norm_weighted(
-                        tent.cone_functional(F, ConeParams(aperture=a)), w.values, p
+                        tent.cone_functional(F, a), w.values, p
                     )
                     for a in {x for pair in pairs for x in pair}
                 }

@@ -41,16 +41,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
             ExperimentConfig.parse("seed = 1\nbogus = 2")
 
-    def test_parsed_keys_match_annotations(self):
-        # a key of a numeric or tuple field missing from its list would
-        # silently parse as a string
-        annotated = {
-            kind: {f.name for f in fields(ExperimentConfig) if f.type in (kind, kind | None)}
-            for kind in (int, float, tuple)
-        }
-        assert set(vericli._INT_KEYS) == annotated[int]
-        assert set(vericli._FLOAT_KEYS) == annotated[float]
-        assert set(vericli._TUPLE_KEYS) == annotated[tuple]
+    def test_typed_keys_parse_to_their_annotation(self):
+        # every int, float and tuple field parses a sample value to its
+        # annotated type; a key the parser missed would stay a string
+        samples = {int: ("3", 3), float: ("2.5", 2.5), tuple: ("1.5, 2", (1.5, 2.0))}
+        seen = {kind: 0 for kind in samples}
+        for f in fields(ExperimentConfig):
+            for kind, (text, want) in samples.items():
+                if f.type in (kind, kind | None):
+                    value = getattr(make(**{f.name: text}), f.name)
+                    assert type(value) is kind and value == want, f.name
+                    if kind is tuple:
+                        assert all(type(v) is float for v in value), f.name
+                    seen[kind] += 1
+        assert seen == {int: 6, float: 12, tuple: 4}
+        assert make(family="2").family == "2"
 
     def test_seed_mandatory(self):
         with pytest.raises(ConfigError, match="seed is mandatory"):
@@ -238,6 +243,26 @@ class TestAngles:
         with pytest.raises(ConfigError, match="wraps the torus"):
             vericli.run_change_of_angle(cfg)
 
+    def test_fit_splits_on_a_sample_boundary(self, monkeypatch):
+        # each sample gives one ratio per aperture pair; at an odd count the
+        # fit still takes whole samples, the first two of five, so no
+        # sample's field lies on both sides of the split
+        batches = []
+        real = vericli.tent.fitted_bound_report
+
+        def spy(fit, hold, margin):
+            batches.append((list(fit), list(hold)))
+            return real(fit, hold, margin=margin)
+
+        monkeypatch.setattr(vericli.tent, "fitted_bound_report", spy)
+        vericli.run_change_of_angle(make("branch = i\nN = 16\nsamples = 2"))
+        vericli.run_change_of_angle(make("branch = i\nN = 16\nsamples = 5"))
+        (first, second), (fit, hold) = batches
+        # sample i draws the same field at every count
+        assert len(first) == len(second) == 3
+        assert fit == first + second
+        assert len(hold) == 3 * 3
+
 
 class TestCarleson:
     def test_order_of_exponents(self):
@@ -348,6 +373,22 @@ class TestBoundedness:
     def test_unknown_family(self):
         with pytest.raises(ConfigError, match="unknown square function family"):
             vericli.run_boundedness(make("family = s_x"))
+
+    def test_p_at_most_one_is_info(self, tmp_path):
+        # A_p needs p >= 1 and the range is open at p_-(L) = 1: such a p
+        # is reported, not asserted, and the run still writes its table
+        code = vericli.main(["boundedness", "--set", "seed=1", "--set", "N=16",
+                             "--set", "samples=2", "--set", "p_list=0.5,1,2",
+                             "--out", str(tmp_path)])
+        assert code == 0
+        body = (tmp_path / "boundedness.csv").read_text().split("\n", 1)[1]
+        rows = list(csv.DictReader(io.StringIO(body)))
+        by_p = {}
+        for row in rows:
+            by_p.setdefault(json.loads(row["param_json"])["p"], []).append(row["verdict"])
+        assert len(by_p[0.5]) == len(by_p[1.0]) == 2 * 6
+        assert set(by_p[0.5]) == set(by_p[1.0]) == {"info"}
+        assert "pass" in by_p[2.0]
 
 
 class TestComparisons:
