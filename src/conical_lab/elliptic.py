@@ -21,35 +21,41 @@ Otherwise a Hermitian matrix gets a unitary diagonalization
 normal, and a diagonal calculus is only as accurate as the condition number
 of its basis allows. The semigroup families then run through dense
 expm/sqrtm evaluations of the assembled matrix itself, so L1 = 0 stays
-exact. The dense matrices, the stencil matrix op.matrix included, are built
-lazily, cached per operator and built once; the fft tier builds op.matrix
-only when it is read.
+exact. The dense cache holds the stencil matrix op.matrix, the square root
+and the roots (below), each built lazily and once per operator; the fft
+tier builds op.matrix only when it is read.
 
 Every family member goes through one seam: _symbol writes the spectral
-symbols and their time components, _apply evaluates a member at every time of
-a ladder on columns, in whichever tier the operator has, and _member adds
-the scaled gradients. The Poisson family has one route, the principal-branch
-calculus of L: its symbol on the spectral tiers, sqrtm then expm on the
-dense one. The two spectral tiers project onto their unitary basis once
-(fftn over the grid axes, or V^H) and take all levels, time components
-included, from the stacked symbols and one map back (ifftn, or one matrix
-product with V); a ladder's stacked symbols are built once per operator, in
-the cache that holds the dense entries, so every later field on the same
-ladder reuses them. The dense fallback goes level by level in ascending
-order with a cached exponential per level and family, squared up from the one an octave below
-where the cache holds it (see EllipticOperator._expm), so on
-TimeGrid.spanning only the lowest three levels of each family call expm.
-A level with no octave below is a root: expm of -tau G / 2^s, with s the
-least integer >= 0 that brings its 1-norm to theta_13 = 5.37 (Al-Mohy and
-Higham, 2009) or below, squared s times. Every squaring, of a root or up an
-octave, runs in _squared, which flushes each real and imaginary part below
-sqrt(tiny) ~ 1.5e-154 in magnitude to zero. The heat kernel's far entries
-would otherwise pass through the subnormal range, where gradual underflow
-makes a 512^2 product take 0.17-0.35 s in place of 0.02 s; the flush moves
-each entry, of size at most about 1, by less than 1.5e-154.
-EllipticOperator.ladder is the one entry to that evaluator: it takes a
-field or a batch of fields, and heat, poisson and their gradients are ladder
-at the one time (t,).
+symbols and their time components, _apply evaluates every member asked of
+one family at every time of a ladder on columns, in whichever tier the
+operator has, and _members adds the scaled gradients. The Poisson family
+has one route, the principal-branch calculus of L: its symbol on the
+spectral tiers, sqrtm then expm on the dense one. The two spectral tiers
+project onto their unitary basis once (fftn over the grid axes, or V^H) and
+take each member at all levels, time components included, from its stacked
+symbols and one map back (ifftn, or one matrix product with V); a ladder's
+stacked symbols are built once per operator, in the operator's cache, so
+every later field on the same ladder reuses them. The dense fallback walks
+the ladder once in ascending order for every member and every column: at
+each level one product of the level's exponential with the columns, then
+the chain of products with t^2 M up to the highest order asked for. A level
+one octave above a level of the walk is squared up from it in the walk's
+own window, which drops it once the level above it is built (see
+EllipticOperator._level), so on TimeGrid.spanning only the lowest three
+levels of each family call expm, and those roots are all the cache keeps:
+a one-time request (heat(t), an off-diagonal norm) is a root, or is
+squared up from a cached root an octave or more below it. A root is expm of
+-tau G / 2^s, with s the least integer >= 0 that brings its 1-norm to
+theta_13 = 5.37 (Al-Mohy and Higham, 2009) or below, squared s times. Every
+squaring, of a root or up an octave, runs in _squared, which flushes each
+real and imaginary part below sqrt(tiny) ~ 1.5e-154 in magnitude to zero.
+The heat kernel's far entries would otherwise pass through the subnormal
+range, where gradual underflow makes a 512^2 product take 0.17-0.35 s in
+place of 0.02 s; the flush moves each entry, of size at most about 1, by
+less than 1.5e-154. EllipticOperator.ladders is the one entry to that
+evaluator: it takes several members of one family and a field or a batch
+of fields; ladder is its one-member case, and heat, poisson and their
+gradients are ladder at the one time (t,).
 
 scipy.linalg, which only the dense fallback calls, is not imported with
 this module: linalg() imports it on first use and binds it to the module
@@ -320,42 +326,67 @@ class EllipticOperator:
         return hit
 
     def _expm(self, key, tau, gen=None):
-        """Dense e^{-tau G} cached by (key, tau); G defaults to the operator
-        matrix. key "h" is heat with tau = t^2, "p" is Poisson with tau = t.
+        """Dense root e^{-tau G}, cached by (key, tau); G defaults to the
+        operator matrix. key "h" is heat with tau = t^2, "p" is Poisson with
+        tau = t.
 
-        A level one octave above a cached one (t to 2t, within 1e-13
-        relative) is built from it: heat squares e^{-(tau/4) G} twice,
-        Poisson squares e^{-(tau/2) G} once. Every factor is a contraction
-        (the stencil is accretive), so a squaring is as stable as the
-        scaling-and-squaring step of expm itself. The squared entry is
-        e^{-tau' G} with |tau' - tau| <= 1e-13 tau, so it differs from
-        e^{-tau G} by at most about tau ||G||_2 times that key mismatch.
-        _apply walks its times in ascending order, so on a ladder the lower
-        octave is cached before the level built from it.
-
-        Otherwise the root is expm of -tau G / 2^s, with s >= 0 the least
-        integer that brings the 1-norm to _THETA13 or below, so the Pade 13
-        approximant needs no squaring of its own; it is then squared s
-        times. Both chains square in _squared, which keeps every stored
-        part out of gradual underflow.
+        The root is expm of -tau G / 2^s, with s >= 0 the least integer that
+        brings the 1-norm to _THETA13 or below, so the Pade 13 approximant
+        needs no squaring of its own; it is then squared s times in
+        _squared, which keeps every stored part out of gradual underflow.
+        The scaled argument is released before the squarings.
         """
         G = self.matrix if gen is None else gen
-        squarings = 2 if key == "h" else 1
 
         def build():
-            for other in list(self._cache):
-                if (isinstance(other, tuple) and other[0] == key
-                        and abs(other[1] * 2**squarings - tau) <= 1e-13 * tau):
-                    return _squared(self._expm(key, other[1], gen), squarings)
             A = -tau * G
             norm = float(np.linalg.norm(A, 1))
             s = 0
             while norm > _THETA13 * 2.0**s:
                 s += 1
             A *= 0.5**s
-            return _squared(linalg().expm(A), s)
+            E = linalg().expm(A)
+            del A
+            return _squared(E, s)
 
         return self._cached((key, tau), build)
+
+    def _level(self, key, tau, window, gen):
+        """Dense e^{-tau G} for a walk in ascending order, whose levels so
+        far, and the cached roots, are window {tau: matrix}.
+
+        A level j >= 1 octaves above a window entry (t to 2^j t, within
+        1e-13 relative) is built from the nearest such entry: heat squares
+        e^{-(tau/4^j) G} 2j times, Poisson squares e^{-(tau/2^j) G} j times.
+        On a ladder that is the level one octave below; a one-time request
+        squares up from a cached root, as the walk that cached it did. Every
+        factor is a contraction (the stencil is accretive), so a squaring is
+        as stable as the scaling-and-squaring step of expm itself. The
+        squared level is e^{-tau' G} with |tau' - tau| <= 1e-13 tau, so it
+        differs from e^{-tau G} by at most about tau ||G||_2 times that
+        mismatch. Any other level is a cached root (_expm). The level joins
+        the window, and every entry whose octave is at or below it leaves:
+        on a ladder the level it was squared from, which no later level
+        needs, so the window spans one octave.
+        """
+        squarings = 2 if key == "h" else 1  # per octave
+        base = 2.0**squarings
+        E = window.get(tau)
+        if E is None:
+            below = [(s, j) for s, j in ((s, round(math.log(tau / s, base))) for s in window)
+                     if j >= 1 and abs(s * base**j - tau) <= 1e-13 * tau]
+            if below:
+                # the entry leaves the window first: once squared it is
+                # below the new level's octave, and its memory frees at the
+                # first product unless the cache holds it as a root
+                s, j = max(below)
+                E = _squared(window.pop(s), squarings * j)
+            else:
+                E = self._expm(key, tau, gen)
+        for s in [s for s in window if s * base < tau * (1 + 1e-13)]:
+            del window[s]
+        window[tau] = E
+        return E
 
     def _sqrt_matrix(self):
         return self._cached("sqrt", self._build_sqrt)
@@ -363,16 +394,19 @@ class EllipticOperator:
     def _build_sqrt(self):
         # sqrt is not Lipschitz at the zero eigenvalue and dense sqrtm
         # loses ~1e-7 on the constant mode; L1 = 0 holds exactly, so
-        # shift that mode to 1, take the root, and shift back
-        nc = self.ncells
-        J = np.full((nc, nc), 1.0 / nc, dtype=complex)
-        A = self.matrix + J
+        # shift that mode to 1 (add 1/nc to every entry), take the root,
+        # and shift back
+        shift = 1.0 / self.ncells
+        A = self.matrix + shift
         S = linalg().sqrtm(A)
-        resid = float(np.linalg.norm(S @ S - A) / np.linalg.norm(A))
+        R = S @ S
+        R -= A
+        resid = float(np.linalg.norm(R) / np.linalg.norm(A))
         if not resid <= 1e-10:
             raise RuntimeError(f"sqrtm residual {resid:.1e} above 1e-10")
         self.report.notes.append(f"sqrtm residual {resid:.1e}")
-        return np.ascontiguousarray((S - J).astype(complex))
+        S -= shift
+        return np.ascontiguousarray(S)
 
     # ---------------------------------------------------------- semigroups
 
@@ -399,46 +433,53 @@ class EllipticOperator:
         phi = (tau * lam) ** m * decay
         return np.stack([phi, 2 * m * phi - rest]) if time else phi
 
-    def _apply(self, family, times, m, cols, time=False):
-        """The member at every time of times, on columns (ncells, B); returns
-        (len(times), ncells, B). time=True adds a leading axis of two that
-        holds the member and its time component (see _symbol).
+    def _apply(self, family, times, members, cols):
+        """Every member of one family at every time of times, on columns
+        (ncells, B). members holds (m, time) pairs; each gives rows
+        (len(times), B, ncells), and time=True a leading axis of two more
+        that holds the member and its time component (see _symbol).
 
         The spectral tiers project cols onto their unitary basis once and
-        take every level, time components included, from the stacked symbols
-        (built once per ladder and member, then cached) and one map back.
-        The dense fallback goes time by time in ascending
-        order: the cached exponential (see _expm), then m products with
-        t^2 M; R for the time component starts from 2 t^2 M (heat) or
-        t S (Poisson) on the same product and takes the same m products.
+        take each member at every level, time components included, from its
+        stacked symbols (built once per ladder and member, then cached) and
+        one map back. The dense fallback walks the times once, in ascending
+        order: the level's exponential (see _level) times cols, then the
+        chain of products with t^2 M up to the highest order asked for, so
+        member m is link m. The time component's R is twice link m + 1 for
+        heat and t S times link m for Poisson.
         """
-        times = np.asarray(times, dtype=float)
         if self.has_eigenbasis:
-            phi = self._cached(("symbol", family, times.tobytes(), m, time),
-                               lambda: self._symbol(family, times[:, None], m, time))
-            rows = self._from_spectrum(phi[..., None, :] * self._to_spectrum(cols))
-            return rows.swapaxes(-1, -2)
+            spectrum = self._to_spectrum(cols)
+            out = []
+            for m, time in members:
+                phi = self._cached(("symbol", family, times.tobytes(), m, time),
+                                   lambda: self._symbol(family, times[:, None], m, time))
+                out.append(self._from_spectrum(phi[..., None, :] * spectrum))
+            return out
 
-        members, comps = [None] * times.size, [None] * times.size
-        # ascending, so a lower octave is cached before the level squared from it
+        heat = family == "heat"
+        S = None if heat else self._sqrt_matrix()
+        top = max(m + (time and heat) for m, time in members)
+        rows = (times.size, cols.shape[1], cols.shape[0])
+        out = [np.empty((2, *rows) if time else rows, dtype=complex) for _, time in members]
+        # the walk starts from the family's cached roots
+        key = "h" if heat else "p"
+        window = {k[1]: E for k, E in self._cache.items() if isinstance(k, tuple) and k[0] == key}
         for i in np.argsort(times, kind="stable"):
             t = times[i]
             tau = t * t
-            if family == "heat":
-                base = self._expm("h", tau) @ cols
-                R = 2 * tau * (self.matrix @ base) if time else None
-            else:
-                S = self._sqrt_matrix()
-                base = self._expm("p", t, gen=S) @ cols
-                R = t * (S @ base) if time else None
-            for _ in range(m):
-                base = tau * (self.matrix @ base)
-                if time:
-                    R = tau * (self.matrix @ R)
-            members[i] = base
-            if time:
-                comps[i] = 2 * m * base - R
-        return np.stack([members, comps]) if time else np.stack(members)
+            E = self._level(key, tau if heat else t, window, S)
+            links = [E @ cols]
+            for _ in range(top):
+                links.append(tau * (self.matrix @ links[-1]))
+            for (m, time), arr in zip(members, out):
+                if not time:
+                    arr[i] = links[m].T
+                    continue
+                R = 2 * links[m + 1] if heat else t * (S @ links[m])
+                arr[0, i] = links[m].T
+                arr[1, i] = (2 * m * links[m] - R).T
+        return out
 
     def heat(self, t, m, f):
         """(t^2 L)^m e^{-t^2 L} f."""
@@ -465,49 +506,64 @@ class EllipticOperator:
         2K P_K - phi_{K+1/2}(L) with phi_{K+1/2}(z) = (t sqrt(z))^{2K+1} e^{-t sqrt(z)}."""
         return self.ladder("poisson", K, _gradient_mode(mode), (t,), f)[0]
 
-    def _member(self, family, times, m, derivative, cols):
-        """One member, as SemigroupRequest names it, at every time of times,
-        from columns (ncells, B) to components (len(times), comps, ncells, B).
+    def _members(self, family, times, members, cols):
+        """Members of one family, each an (order, derivative) pair as
+        SemigroupRequest names it, at every time of times, from columns
+        (ncells, B) to one array of components (len(times), comps, B, ncells)
+        per member, all from one _apply. Each member's rows are released as
+        soon as its components are built.
 
         "spatial" is t times the forward difference along each axis, "full"
         appends the time component t d/dt (member).
         """
         n, h, shape = self.grid.n, self.grid.h, self.grid.shape
-        times = np.asarray(times, dtype=float)
-        if derivative == "full":
-            base, dt = self._apply(family, times, m, cols, time=True)
-        else:
-            base = self._apply(family, times, m, cols)
-        if derivative == "none":
-            return base[:, None]
-        L, B = times.size, cols.shape[-1]
-        fields = base.transpose(0, 2, 1).reshape(L, B, *shape)
+        L, B = times.size, cols.shape[1]
         tb = times.reshape(L, *([1] * (n + 1)))
-        comps = [(tb * _fwd(fields, n, j, h)).reshape(L, B, -1).transpose(0, 2, 1)
-                 for j in range(n)]
-        if derivative == "full":
-            comps.append(dt)
-        return np.stack(comps, axis=1)
+        applied = self._apply(family, times, [(m, d == "full") for m, d in members], cols)
+        out = []
+        for k, (m, derivative) in enumerate(members):
+            base, applied[k] = applied[k], None
+            if derivative == "full":
+                base, dt = base
+            if derivative == "none":
+                out.append(base[:, None])
+                continue
+            fields = base.reshape(L, B, *shape)
+            comps = [(tb * _fwd(fields, n, j, h)).reshape(L, B, -1) for j in range(n)]
+            if derivative == "full":
+                comps.append(dt)
+            out.append(np.stack(comps, axis=1))
+        return out
 
     # --------------------------------------------------------- time ladder
 
-    def ladder(self, family, order, derivative, levels, f):
-        """One family member at every time of levels, for a field or a batch.
+    def ladders(self, family, members, levels, f):
+        """Several members of one family at every time of levels, for a field
+        or a batch, from one walk of the family's ladder.
 
-        family, order and derivative name the member as SemigroupRequest
-        does: "none" is the family itself, "spatial" and "full" are the
-        components of heat_gradient / poisson_gradient. Returns an array of
-        shape (len(levels), comps, *grid.shape) for one field f, and
+        members is a nonempty sequence of (order, derivative) pairs, each
+        naming a member as SemigroupRequest does: "none" is the family
+        itself, "spatial" and "full" are the components of heat_gradient /
+        poisson_gradient. Returns a list with one array per member, of shape
+        (len(levels), comps, *grid.shape) for one field f and
         (len(levels), comps, B, *grid.shape) for a batch (B, *grid.shape).
         """
         times = np.asarray(levels, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("levels must be a nonempty sequence of times")
-        SemigroupRequest(family, float(times.min()), order, derivative)
+        if not members:
+            raise ValueError("members must name at least one member")
+        for order, derivative in members:
+            SemigroupRequest(family, float(times.min()), order, derivative)
         cols, batch = self._as_columns(f)
-        out = self._member(family, times, int(order), derivative, cols)
-        fields = out.swapaxes(-1, -2).reshape(*out.shape[:2], -1, *self.grid.shape)
-        return fields if batch else fields[:, :, 0]
+        out = self._members(family, times, [(int(o), d) for o, d in members], cols)
+        fields = [x.reshape(*x.shape[:3], *self.grid.shape) for x in out]
+        return fields if batch else [x[:, :, 0] for x in fields]
+
+    def ladder(self, family, order, derivative, levels, f):
+        """One family member at every time of levels: ladders with the one
+        member (order, derivative)."""
+        return self.ladders(family, [(order, derivative)], levels, f)[0]
 
 
 def _gradient_mode(mode):

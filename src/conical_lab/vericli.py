@@ -315,24 +315,38 @@ class ResultTable:
 # ------------------------------------------------------------- sampling
 
 
-def _map_samples(fn, seed, count):
-    """fn applied to count generators spawned from seed, in spawn order."""
+def _generators(seed, count):
+    """count generators spawned from seed, in spawn order."""
     # sample i draws from the i-th spawned generator, so its field is the
     # same for every count
-    return [fn(np.random.default_rng(s)) for s in np.random.SeedSequence(seed).spawn(count)]
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
+def _map_samples(fn, seed, count):
+    """fn applied to count generators spawned from seed, in spawn order."""
+    return [fn(rng) for rng in _generators(seed, count)]
+
+
+def _rand_complex(rng, out):
+    """out filled with complex normal values: every real part drawn first,
+    then every imaginary part."""
+    out.real = rng.standard_normal(out.shape)
+    out.imag = rng.standard_normal(out.shape)
+    return out
 
 
 def _rand_field(grid, tgrid, rng):
-    shape = (len(tgrid.levels), *grid.shape)
-    return UpperHalfField(
-        grid, tgrid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
+    values = np.empty((len(tgrid.levels), *grid.shape), dtype=complex)
+    return UpperHalfField(grid, tgrid, _rand_complex(rng, values))
 
 
-def _rand_gf(grid, rng):
-    return GridFunction(
-        grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    )
+def _rand_batch(grid, seed, count):
+    """Batch (count, *grid.shape) of complex normal fields, field i drawn
+    from the i-th generator spawned from seed."""
+    out = np.empty((count, *grid.shape), dtype=complex)
+    for field, rng in zip(out, _generators(seed, count)):
+        _rand_complex(rng, field)
+    return out
 
 
 def _fit_holdout(table, experiment, params, ratios, margin, note=None):
@@ -549,22 +563,14 @@ def run_cp_vs_maximal(cfg):
         return cfg.build_operator(grid), BallFamily.dense_dyadic(grid)
 
     def max_ratios(op, fam, seed):
-        out = {name: [] for name in _CP_INTEGRANDS}
-
-        def one(rng):
-            f = _rand_gf(op.grid, rng)
-            M = hl_maximal(f, p0, fam)
-            vals = {}
-            for name, family in _CP_INTEGRANDS.items():
-                spec = squarefn.SquareFunctionSpec(family)
-                F = squarefn.integrand_field(op, spec, f)
-                C = tent.carleson_p0(F, 2.0, p0, fam).values.real
-                vals[name] = float((C / M).max())
-            return vals
-
-        for vals in _map_samples(one, seed, count):
-            for name, v in vals.items():
-                out[name].append(v)
+        fields = _rand_batch(op.grid, seed, count)
+        maximal = [hl_maximal(GridFunction(op.grid, f), p0, fam) for f in fields]
+        names = list(_CP_INTEGRANDS)
+        specs = [squarefn.SquareFunctionSpec(_CP_INTEGRANDS[name]) for name in names]
+        out = {name: [None] * count for name in names}
+        for i, b, F in squarefn.integrands(op, specs, fields):
+            C = tent.carleson_p0(F, 2.0, p0, fam).values.real
+            out[names[i]][b] = float((C / maximal[b]).max())
         return out
 
     coarse = max_ratios(*build(coarse_grid), cfg.seed + 1)
@@ -579,9 +585,8 @@ def run_cp_vs_maximal(cfg):
 
     # L1 = 0 holds up to rounding, so the box side of a constant input sits
     # at rounding-noise level
-    one_f = GridFunction(grid, np.ones(grid.shape))
     spec = squarefn.SquareFunctionSpec("s_h")
-    F = squarefn.integrand_field(op, spec, one_f)
+    F = squarefn.integrand_field(op, [spec], np.ones((1, *grid.shape)))[0][0]
     cval = float(np.abs(tent.carleson_p0(F, 2.0, p0, fam).values).max())
     table.info("cp-maximal", {"stat": "constant_input", "p0": p0}, cval)
     return table
@@ -682,22 +687,17 @@ def run_boundedness(cfg):
     def sups(grid, seed):
         op = cfg.build_operator(grid)
         weight = cfg.build_weight(grid)
-        out = {}
-        for family in families:
-            spec = squarefn.SquareFunctionSpec(family)
-
-            def one(rng, spec=spec, op=op, grid=grid, weight=weight):
-                f = _rand_gf(grid, rng)
-                Sf = squarefn.evaluate(op, spec, f)
-                return {
-                    p: lp_norm_weighted(Sf, weight.values, p)
-                    / lp_norm_weighted(f, weight.values, p)
-                    for p in p_list
-                }
-
-            rows = _map_samples(one, seed, count)
-            out[family] = {p: max(row[p] for row in rows) for p in p_list}
-        return out
+        fields = _rand_batch(grid, seed, count)
+        norms = [{p: lp_norm_weighted(GridFunction(grid, f), weight.values, p) for p in p_list}
+                 for f in fields]
+        specs = [squarefn.SquareFunctionSpec(family) for family in families]
+        rows = {family: [None] * count for family in families}
+        for i, b, F in squarefn.integrands(op, specs, fields):
+            Sf = tent.cone_functional(F, 1.0)
+            rows[families[i]][b] = {p: lp_norm_weighted(Sf, weight.values, p) / norms[b][p]
+                                    for p in p_list}
+        return {family: {p: max(row[p] for row in rows[family]) for p in p_list}
+                for family in families}
 
     coarse = sups(coarse_grid, cfg.seed + 1)
     fine = sups(grid, cfg.seed)
@@ -743,15 +743,13 @@ def run_comparisons(cfg):
     table = ResultTable()
     # every pair compares on the same seeded fields, so each distinct square
     # function is evaluated once per field and the ratios share its norm
-    specs = {key: squarefn.SquareFunctionSpec(*key)
-             for _, top, bottom in _COMPARISON_PAIRS for key in (top, bottom)}
-
-    def norms(rng):
-        f = _rand_gf(grid, rng)
-        return {key: lp_norm_weighted(squarefn.evaluate(op, spec, f), weight.values, p)
-                for key, spec in specs.items()}
-
-    samples = _map_samples(norms, cfg.seed, count)
+    keys = list(dict.fromkeys(key for _, top, bottom in _COMPARISON_PAIRS
+                              for key in (top, bottom)))
+    specs = [squarefn.SquareFunctionSpec(*key) for key in keys]
+    samples = [{} for _ in range(count)]
+    for i, b, F in squarefn.integrands(op, specs, _rand_batch(grid, cfg.seed, count)):
+        Sf = tent.cone_functional(F, 1.0)
+        samples[b][keys[i]] = lp_norm_weighted(Sf, weight.values, p)
     for label, top, bottom in _COMPARISON_PAIRS:
         ratios = [norm[top] / norm[bottom] for norm in samples]
         params = {"pair": label, "p": p, "theta": cfg.theta, "N": grid.N}

@@ -373,13 +373,16 @@ def _count_dense_builds(monkeypatch, op):
 
 
 def test_dense_caches_built_once(monkeypatch):
-    # every dense matrix of a fresh operator is computed once; walking the
-    # same times again builds nothing and gives the same bytes
+    # a one-time request is a root: each is built once, cached, and reused by
+    # every later request for it with the same bytes. A request an octave or
+    # more above a cached root is squared up from it, as a walk over both
+    # times squares, and caches nothing: squared levels live only in a walk
     g = Grid(1, 16)
-    op = assemble(g, CoefficientField.preset(g, "perturbed"))
+    coeff = CoefficientField.preset(g, "perturbed")
+    op = assemble(g, coeff)
     assert op.report.tier == "dense-fallback"
     calls = _count_dense_builds(monkeypatch, op)
-    times = (0.05, 0.1, 0.2)
+    times = (0.05, 0.13, 0.3)
     f = np.cos(2 * np.pi * g.cell_centers()[..., 0])
 
     def walk():
@@ -390,15 +393,20 @@ def test_dense_caches_built_once(monkeypatch):
     assert len(calls["builds"]) == len(set(calls["builds"]))
     assert set(calls["builds"]) == ({("h", t * t) for t in times}
                                     | {("p", t) for t in times} | {"sqrt"})
-    # the times are an octave apart, so each family calls expm at its
-    # lowest level only and squares up from there
-    assert len(calls["expm"]) == 2
+    assert len(calls["expm"]) == 2 * len(times)
     assert len(set(calls["expm"])) == len(calls["expm"])
     assert calls["sqrtm"] == 1
-    built = list(calls["builds"])
+    built, expms = list(calls["builds"]), len(calls["expm"])
     for a, b in zip(first, walk()):
         assert np.array_equal(a, b)
+    # two octaves above the root at 0.05
+    up = [op.heat(0.2, 0, f), op.poisson(0.2, 0, f)]
     assert calls["builds"] == built
+    assert len(calls["expm"]) == expms
+    assert set(op._cache) == {"matrix"} | set(built)
+    fresh = assemble(g, coeff)
+    for got, family in zip(up, ("heat", "poisson")):
+        assert np.array_equal(got, fresh.ladder(family, 0, "none", (0.05, 0.1, 0.2), f)[2, 0])
 
 
 def test_dense_squaring_needs_an_octave(monkeypatch):
@@ -414,10 +422,12 @@ def test_dense_squaring_needs_an_octave(monkeypatch):
 
 
 def test_dense_ladder_squared_the_same_either_order(monkeypatch):
-    # walking the whole spanning ladder (ratio 2^{1/3}) builds each level
-    # once, and only the three lowest levels of each family call expm. The
-    # dense route walks times in ascending order whatever order they come
-    # in, so a fresh operator taking the ladder top down gives the same bytes
+    # walking the whole spanning ladder (ratio 2^{1/3}) calls expm at the
+    # three lowest levels of each family only, and the cache keeps just
+    # those roots: every level above is squared up inside the walk and
+    # dropped with it. The dense route walks times in ascending order
+    # whatever order they come in, so a fresh operator taking the ladder top
+    # down gives the same bytes
     g = Grid(1, 16)
     coeff = CoefficientField.preset(g, "perturbed")
     levels = TimeGrid.spanning(g).levels
@@ -430,12 +440,18 @@ def test_dense_ladder_squared_the_same_either_order(monkeypatch):
     op = assemble(g, coeff)
     calls = _count_dense_builds(monkeypatch, op)
     bottom_up = walk(op)
-    assert len(calls["builds"]) == len(set(calls["builds"])) == 2 * len(levels) + 1
+    roots = {("h", t * t) for t in levels[:3]} | {("p", t) for t in levels[:3]}
+    assert len(calls["builds"]) == len(set(calls["builds"])) == len(roots) + 1
+    assert set(op._cache) == {"matrix", "sqrt"} | roots
     assert len(calls["expm"]) == 2 * 3
     assert len(set(calls["expm"])) == len(calls["expm"])
     assert calls["sqrtm"] == 1
     for a, b in zip(bottom_up, top_down):
         assert np.array_equal(a, b)
+    # a second walk squares the same levels from the same roots
+    for a, b in zip(bottom_up, walk(op)):
+        assert np.array_equal(a, b)
+    assert len(calls["expm"]) == 2 * 3
 
 
 def _flush_reference(E):
@@ -973,6 +989,43 @@ def test_matrix_ladder_batch_is_per_field(fix, request):
                 for c, budget in enumerate(budgets):
                     err = np.linalg.norm(got[k, c, b] - want[k, c])
                     assert err <= budget, (family, derivative, order, k, c, err / budget)
+
+
+@pytest.mark.parametrize("fix", ["lap1", "cross2", "herm1_16", "herm2_8", "pert1_8", "pert1_16"])
+def test_ladders_is_ladder_per_member(fix, request):
+    # one walk serves every member of a family: on the spectral tiers each
+    # member comes from its own stacked symbols, so every bit matches the
+    # one-member call; the dense walk is held to the budget of
+    # test_matrix_ladder_batch_is_per_field
+    op = request.getfixturevalue(fix)
+    g = op.grid
+    batch = _random_batch(g, 3, 59)
+    levels = TimeGrid.spanning(g).levels
+    norm_M = np.linalg.norm(op.matrix, 2)
+    C = 1e-12
+    for family in ("heat", "poisson"):
+        members = [(order, derivative) for fam, derivative, order in MEMBERS if fam == family]
+        for f in (batch, batch[0]):
+            got = op.ladders(family, members, levels, f)
+            assert len(got) == len(members)
+            for (order, derivative), out in zip(members, got):
+                want = op.ladder(family, order, derivative, levels, f)
+                assert out.shape == want.shape
+                if op.has_eigenbasis:
+                    assert np.array_equal(out, want), (family, order, derivative)
+                    continue
+                for k, t in enumerate(levels):
+                    member = C * np.linalg.norm(f) * (1 + t * t * norm_M) ** order
+                    budgets = [member * 2 * t / g.h] * g.n
+                    budgets = {"none": [member], "spatial": budgets,
+                               "full": budgets + [member * (1 + t * t * norm_M)]}[derivative]
+                    for c, budget in enumerate(budgets):
+                        err = np.linalg.norm(out[k, c] - want[k, c])
+                        assert err <= budget, (family, order, derivative, k, c, err / budget)
+    with pytest.raises(ValueError, match="at least one member"):
+        op.ladders("heat", [], levels, batch)
+    with pytest.raises(ValueError, match="derivative"):
+        op.ladders("heat", [(0, "none"), (1, "radial")], levels, batch)
 
 
 @pytest.mark.parametrize("fix", ["lap1", "pert1_8", "herm2_8"])

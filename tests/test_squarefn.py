@@ -71,6 +71,12 @@ class TestSpec:
 
 
 class TestEvaluate:
+    def test_one_semigroup_per_call(self, lap1):
+        batch = np.ones((2, *lap1.grid.shape))
+        with pytest.raises(ValueError, match="one semigroup"):
+            sf.integrand_field(lap1, [sf.SquareFunctionSpec("s_h"),
+                                      sf.SquareFunctionSpec("s_p")], batch)
+
     def test_constants_die(self, lap1):
         one = GridFunction(lap1.grid, np.ones(lap1.grid.shape))
         for family in sf.FAMILIES:

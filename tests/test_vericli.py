@@ -402,19 +402,33 @@ class TestComparisons:
 
     def test_each_square_function_once_per_field(self, monkeypatch):
         # the four pairs share six distinct square functions, all on the
-        # same seeded fields
+        # same seeded fields: the fft tier evaluates each on one field per
+        # call, the dense tier those of each semigroup on the whole batch in
+        # one call
         calls = []
-        real = vericli.squarefn.evaluate
+        real = vericli.squarefn.integrand_field
 
-        def evaluate(op, spec, f):
-            calls.append((spec.family, spec.order, f.values.tobytes()))
-            return real(op, spec, f)
+        def integrand_field(op, specs, fields):
+            calls.append(([(s.family, s.order) for s in specs],
+                          [f.tobytes() for f in fields]))
+            return real(op, specs, fields)
 
-        monkeypatch.setattr(vericli.squarefn, "evaluate", evaluate)
+        monkeypatch.setattr(vericli.squarefn, "integrand_field", integrand_field)
         vericli.run_comparisons(make("samples = 4\nN = 8"))
         assert len(calls) == 6 * 4
-        assert len({c[:2] for c in calls}) == 6
-        assert len({c[2] for c in calls}) == 4
+        assert all(len(specs) == len(fields) == 1 for specs, fields in calls)
+        assert len({specs[0] for specs, _ in calls}) == 6
+        batch = {fields[0] for _, fields in calls}
+        assert len(batch) == 4
+
+        calls.clear()
+        vericli.run_comparisons(make("samples = 4\nN = 8\npreset = perturbed"))
+        assert [sorted(specs) for specs, _ in calls] == [
+            [("gcal_h", 0), ("gcal_h", 2), ("s_h", 1), ("s_h", 2)],
+            [("gcal_p", 0), ("s_p", 1)]]
+        # the same seeded fields on either tier
+        for _, fields in calls:
+            assert set(fields) == batch and len(fields) == 4
 
     def test_generic_coefficients_report_only(self):
         t = vericli.run_comparisons(
@@ -441,6 +455,36 @@ class TestDeterminism:
         b = csv_body(vericli.run_carleson_suite(
             ExperimentConfig.parse("seed = 99\nN = 16\nsamples = 4")))
         assert a != b
+
+
+class TestBatch:
+    # the experiments draw every sample's field first and evaluate each
+    # square function once on the batch, which on the dense tier is one walk
+    # per semigroup; the reference evaluates one spec on one field per call
+
+    @staticmethod
+    def _per_sample(op, specs, fields):
+        for i, spec in enumerate(specs):
+            for b in range(len(fields)):
+                yield i, b, vericli.squarefn.integrand_field(op, [spec], fields[b:b + 1])[0][0]
+
+    @pytest.mark.parametrize("run, text", [
+        (vericli.run_comparisons, "N = 8\nsamples = 4"),
+        (vericli.run_boundedness, "N = 16\nsamples = 4"),
+        (vericli.run_cp_vs_maximal, "N = 16\nsamples = 4"),
+    ], ids=["comparisons", "boundedness", "cp-maximal"])
+    def test_batch_matches_per_sample(self, run, text, monkeypatch):
+        cfg = make(text + "\npreset = perturbed")
+        batched = run(cfg).rows
+        monkeypatch.setattr(vericli.squarefn, "integrands", self._per_sample)
+        single = run(cfg).rows
+        assert len(batched) == len(single) > 0
+        for a, b in zip(batched, single):
+            assert (a.experiment, a.params, a.provenance, a.verdict) == (
+                b.experiment, b.params, b.provenance, b.verdict)
+            for x, y in ((a.measured, b.measured), (a.reference, b.reference)):
+                assert (math.isnan(x) and math.isnan(y)) or abs(x - y) <= 1e-12 * abs(y), (
+                    a.params, x, y)
 
 
 class TestMain:
