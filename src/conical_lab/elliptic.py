@@ -44,9 +44,10 @@ own window, which drops it once the level above it is built (see
 EllipticOperator._level), so on TimeGrid.spanning only the lowest three
 levels of each family call expm, and those roots are all the cache keeps:
 a one-time request (heat(t), an off-diagonal norm) is a root, or is
-squared up from a cached root an octave or more below it. A root is expm of
--tau G / 2^s, with s the least integer >= 0 that brings its 1-norm to
-theta_13 = 5.37 (Al-Mohy and Higham, 2009) or below, squared s times. Every
+squared up from a cached root an octave or more below it. A root is the
+Pade 13 step on -tau G / 2^s, with s the least integer >= 0 that brings its
+1-norm to theta_13 = 5.37 (Al-Mohy and Higham, 2009) or below, squared s
+times. Every
 squaring, of a root or up an octave, runs in _squared, which flushes each
 real and imaginary part below sqrt(tiny) ~ 1.5e-154 in magnitude to zero.
 The heat kernel's far entries would otherwise pass through the subnormal
@@ -57,12 +58,13 @@ evaluator: it takes several members of one family and a field or a batch
 of fields; ladder is its one-member case, and heat, poisson and their
 gradients are ladder at the one time (t,).
 
-scipy.linalg, which only the dense fallback calls, is not imported with
-this module: linalg() imports it on first use and binds it to the module
-name sla, which the dense route reads at every call. The command line loads
-it while it parses a configuration with other than identity coefficients
-(a preset other than laplace, or a coefficient file), before the experiment
-starts; an identity run never imports it.
+The dense route runs on numpy alone, through two kernels: _pade13, the
+degree-13 Pade step of a root on its scaled argument (Higham, 2005), and
+_sqrtm, the principal square root by the scaled product-form
+Denman-Beavers iteration (Higham, Functions of Matrices, 2008, 6.3). The
+route reads both through the module name sla (sla.expm and sla.sqrtm) at
+every call, so an object put in its place, such as perfbench's tracing
+proxy, sees every call of each.
 """
 
 from __future__ import annotations
@@ -70,29 +72,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field as dfield
+from types import SimpleNamespace
 
 import numpy as np
 
 from .grid import Grid, GridFunction
-
-
-def linalg():
-    """The module bound to the name sla: scipy.linalg, imported on the
-    first call. The dense route calls this for every expm and sqrtm, so an
-    object put in place of sla (perfbench's tracing proxy) sees them all."""
-    mod = globals().get("sla")
-    if mod is None:
-        import scipy.linalg as mod
-
-        globals()["sla"] = mod
-    return mod
-
-
-def __getattr__(name):
-    # elliptic.sla resolves from outside before the first dense evaluation
-    if name == "sla":
-        return linalg()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class EllipticityError(ValueError):
@@ -330,11 +314,11 @@ class EllipticOperator:
         operator matrix. key "h" is heat with tau = t^2, "p" is Poisson with
         tau = t.
 
-        The root is expm of -tau G / 2^s, with s >= 0 the least integer that
-        brings the 1-norm to _THETA13 or below, so the Pade 13 approximant
-        needs no squaring of its own; it is then squared s times in
-        _squared, which keeps every stored part out of gradual underflow.
-        The scaled argument is released before the squarings.
+        The root is sla.expm, the Pade 13 step, of -tau G / 2^s, with s >= 0
+        the least integer that brings the 1-norm to _THETA13 or below, so
+        the approximant needs no squaring of its own; it is then squared s
+        times in _squared, which keeps every stored part out of gradual
+        underflow. The scaled argument is released before the squarings.
         """
         G = self.matrix if gen is None else gen
 
@@ -345,7 +329,7 @@ class EllipticOperator:
             while norm > _THETA13 * 2.0**s:
                 s += 1
             A *= 0.5**s
-            E = linalg().expm(A)
+            E = sla.expm(A)
             del A
             return _squared(E, s)
 
@@ -392,13 +376,12 @@ class EllipticOperator:
         return self._cached("sqrt", self._build_sqrt)
 
     def _build_sqrt(self):
-        # sqrt is not Lipschitz at the zero eigenvalue and dense sqrtm
-        # loses ~1e-7 on the constant mode; L1 = 0 holds exactly, so
-        # shift that mode to 1 (add 1/nc to every entry), take the root,
-        # and shift back
+        # sqrt is not Lipschitz at the zero eigenvalue, and the iteration
+        # inverts its argument; L1 = 0 holds exactly, so shift that mode to
+        # 1 (add 1/nc to every entry), take the root, and shift back
         shift = 1.0 / self.ncells
         A = self.matrix + shift
-        S = linalg().sqrtm(A)
+        S = sla.sqrtm(A)
         R = S @ S
         R -= A
         resid = float(np.linalg.norm(R) / np.linalg.norm(A))
@@ -599,6 +582,92 @@ def _flush(E):
     parts[(mag < _FLUSH) & (mag > 0)] = 0.0
 
 
+# ------------------------------------------------------------ dense kernels
+
+# b_0 .. b_13 of the degree-13 Pade approximant of e^x, p(x) / p(-x) with
+# p(x) = sum_k b_k x^k (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+
+
+def _pade13(A):
+    """r_13(A) = (V - U)^{-1} (V + U), U and V the odd and even parts of
+    p(A): six products and one solve. Backward stable as an approximation
+    of e^A for ||A||_1 <= _THETA13, which _expm's scaling guarantees, so
+    there is no degree selection, norm estimate or squaring here."""
+    b = _PADE13
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+    U += b[7] * A6 + b[5] * A4 + b[3] * A2
+    _add_identity(U, b[1])
+    U = A @ U
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+    V += b[6] * A6 + b[4] * A4 + b[2] * A2
+    _add_identity(V, b[0])
+    del A2, A4, A6
+    return np.linalg.solve(V - U, V + U)
+
+
+def _add_identity(X, c):
+    """X += c I, in place."""
+    X.flat[::X.shape[0] + 1] += c
+
+
+# Denman-Beavers stops once ||M_k - I||_1 is at most _DB_TOL; on every
+# operator of the lab that takes 6-7 iterations
+_DB_TOL = 1e-14
+_DB_CAP = 20
+
+
+def _sqrtm(A):
+    """Principal square root of A, by the product form of the Denman-Beavers
+    iteration with scalar scaling (Higham, Functions of Matrices, 2008,
+    6.3):
+
+        M_{k+1} = (I + (mu_k^2 M_k + mu_k^-2 M_k^{-1}) / 2) / 2,    M_0 = A,
+        Y_{k+1} = mu_k Y_k (I + mu_k^-2 M_k^{-1}) / 2,              Y_0 = A,
+
+    with Y_k -> A^{1/2} and M_k -> I. It is Newton's sign iteration on the
+    square roots of the spectrum, which lie in [lo, hi] in modulus:
+    mu = 1 / sqrt(lo hi) maps that range onto one symmetric about 1, after
+    which it lies in [1, (mu hi + 1 / (mu hi)) / 2]. The first range is
+    lo = ||A^{-1}||_1^{-1/2}, hi = ||A||_1^{1/2}, from the first step's own
+    inverse. An eigenvalue on the closed negative real axis has no
+    principal root; the iteration then does not converge, and after _DB_CAP
+    steps this raises.
+    """
+    M = np.array(A, dtype=complex)
+    Y = M.copy()
+    T = np.linalg.inv(M)
+    lo, hi = np.linalg.norm(T, 1) ** -0.5, np.linalg.norm(M, 1) ** 0.5
+    for _ in range(_DB_CAP):
+        mu = 1.0 / math.sqrt(lo * hi)
+        lo, hi = 1.0, (mu * hi + 1.0 / (mu * hi)) / 2
+        T *= mu**-2
+        _add_identity(T, 1.0)  # I + mu^-2 M^{-1}
+        Y = Y @ T
+        Y *= mu / 2
+        M *= mu * mu / 4
+        M += T / 4
+        _add_identity(M, -0.75)  # M_{k+1} - I
+        if np.linalg.norm(M, 1) <= _DB_TOL:
+            return Y
+        _add_identity(M, 1.0)
+        T = np.linalg.inv(M)
+    raise RuntimeError(f"sqrtm: Denman-Beavers did not converge in {_DB_CAP} steps; "
+                       "an eigenvalue on the closed negative real axis has no "
+                       "principal square root")
+
+
+# the dense route's two kernels, read through this name at every call: an
+# object put in its place (perfbench's tracing proxy) sees each of them
+sla = SimpleNamespace(expm=_pade13, sqrtm=_sqrtm)
+
+
 def _clean_spectrum(eigs):
     # constants are annihilated exactly, but eigh and the DFT return the zero
     # mode with O(eps ||M||) noise; its square root is O(sqrt(eps ||M||)) and
@@ -609,11 +678,35 @@ def _clean_spectrum(eigs):
     return out
 
 
+# columns or rows per block of _stencil_matrix and _is_hermitian, so their
+# temporaries are _BLOCK / ncells of a dense matrix each
+_BLOCK = 64
+
+
 def _stencil_matrix(coeff):
-    """Dense matrix of the stencil: column j is the image of unit field j."""
+    """Dense matrix of the stencil: column j is the image of unit field j,
+    built one block of columns at a time. The stencil acts on each field on
+    its own, so every column has the bits of a one-batch build."""
     nc = coeff.grid.ncells
-    unit = np.eye(nc, dtype=complex).reshape(nc, *coeff.grid.shape)
-    return np.ascontiguousarray(apply_divform(coeff, unit).reshape(nc, nc).T)
+    M = np.empty((nc, nc), dtype=complex)
+    for lo in range(0, nc, _BLOCK):
+        width = min(_BLOCK, nc - lo)
+        unit = np.eye(width, nc, lo, dtype=complex).reshape(width, *coeff.grid.shape)
+        M[:, lo:lo + width] = apply_divform(coeff, unit).reshape(width, nc).T
+    return M
+
+
+def _is_hermitian(M):
+    """np.allclose(M, M^H, atol=1e-12 max |M_ij|) with its default rtol
+    1e-5: the same predicate, taken one block of rows at a time so that no
+    temporary is the size of M, and stopped at the first block that fails."""
+    blocks = [slice(lo, lo + _BLOCK) for lo in range(0, len(M), _BLOCK)]
+    atol = 1e-12 * max(float(np.abs(M[b]).max()) for b in blocks)
+    for b in blocks:
+        x, y = M[b], M[:, b].T.conj()
+        if not ((np.abs(x - y) <= atol + 1e-5 * np.abs(y)) & np.isfinite(y) | (x == y)).all():
+            return False
+    return True
 
 
 def assemble(grid, coeff):
@@ -634,8 +727,7 @@ def assemble(grid, coeff):
         return EllipticOperator(grid, coeff, None, BuildReport("fft", 1.0), eigs=eigs)
 
     M = _stencil_matrix(coeff)
-    scale = float(np.abs(M).max())
-    if np.allclose(M, M.conj().T, atol=1e-12 * scale):
+    if _is_hermitian(M):
         eigs, V = np.linalg.eigh((M + M.conj().T) / 2)
         eigs = _clean_spectrum(eigs.astype(complex))
         report = BuildReport("hermitian-eig", 1.0)

@@ -204,16 +204,20 @@ def chebyshev_to_complement(mask, grid):
     if mask.shape != grid.shape:
         raise ValueError("mask shape does not match grid")
     D = np.where(mask, np.inf, 0.0)
-    # imported here: only the Whitney decomposition, which no CLI run
-    # makes, needs scipy.ndimage
-    from scipy.ndimage import minimum_filter
-
     for _ in range(grid.N):
-        step = minimum_filter(D, size=3, mode="wrap") + grid.h
+        step = _box_min(D) + grid.h
         nxt = np.minimum(D, step)
         if np.array_equal(nxt, D):
             break
         D = nxt
+    return D
+
+
+def _box_min(D):
+    """Minimum over the 3^n box of wrapped neighbours of every cell: the
+    minimum over the shifts by -1, 0 and +1 along each axis in turn."""
+    for axis in range(D.ndim):
+        D = np.minimum(D, np.minimum(np.roll(D, 1, axis=axis), np.roll(D, -1, axis=axis)))
     return D
 
 

@@ -49,7 +49,6 @@ from .elliptic import (
     CoefficientField,
     SemigroupRequest,
     assemble,
-    linalg,
     offdiagonal_opnorm,
 )
 from . import squarefn, tent
@@ -160,12 +159,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key {key!r}")
         if "seed" not in raw:
             raise ConfigError("seed is mandatory")
-        cfg = cls(**{k: _parse_scalar(k, kinds[k], v) for k, v in raw.items()})
-        if not cfg.identity:
-            # only these runs can reach the dense fallback: load scipy.linalg
-            # with the configuration, before the experiment starts
-            linalg()
-        return cfg
+        return cls(**{k: _parse_scalar(k, kinds[k], v) for k, v in raw.items()})
 
     # ------------------------------------------------------------ builders
 

@@ -296,14 +296,56 @@ def test_dense_fallback_keeps_unperturbed_matrix(pert1_16):
     assert np.array_equal(pert1_16.matrix, stencil)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: CoefficientField.preset(Grid(2, 16), "perturbed"),
+    lambda: _cosine_diagonal(Grid(1, 128)),
+    lambda: CoefficientField.constant(Grid(2, 16), CROSS_A),
+], ids=["perturbed-2d-16", "cosine-1d-128", "cross-2d-16"])
+def test_stencil_matrix_blocks_are_one_batch(build):
+    # the matrix is built in blocks of columns; every column keeps the bits
+    # of the stencil applied to the whole identity batch at once
+    coeff = build()
+    nc = coeff.grid.ncells
+    assert nc > el._BLOCK
+    unit = np.eye(nc, dtype=complex).reshape(nc, *coeff.grid.shape)
+    want = np.ascontiguousarray(el.apply_divform(coeff, unit).reshape(nc, nc).T)
+    got = el._stencil_matrix(coeff)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_hermitian_test_is_allclose():
+    # _is_hermitian is np.allclose(M, M^H, atol=1e-12 max |M_ij|) with the
+    # default rtol, row block by row block: entries moved just inside and
+    # just outside that bound, in the first and the last (partial) block
+    rng = np.random.default_rng(11)
+    n = 2 * el._BLOCK + 22
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    H = X + X.conj().T
+    atol = 1e-12 * np.abs(H).max()
+    verdicts = set()
+    for i, j in ((0, 1), (3, n - 1), (n - 1, n - 5), (n - 2, n - 2)):
+        for factor in (0.5, 0.999, 1.001, 2.0):
+            M = H.copy()
+            bound = atol + 1e-5 * abs(M[j, i])
+            M[i, j] += factor * bound
+            want = np.allclose(M, M.conj().T, atol=1e-12 * np.abs(M).max())
+            assert el._is_hermitian(M) == want, (i, j, factor)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    assert el._is_hermitian(H)
+
+
 def test_non_hermitian_build_skips_eigendecomposition(monkeypatch):
     # a non-Hermitian operator keeps no basis, so assembling one must not
-    # factor anything
+    # factor, invert or solve anything, nor call a dense kernel
     def refuse(*args, **kwargs):
         raise AssertionError("factorization of a non-Hermitian operator")
 
-    monkeypatch.setattr(el.np.linalg, "eig", refuse)
-    monkeypatch.setattr(el.sla, "lu_factor", refuse)
+    for name in ("eig", "inv", "solve"):
+        monkeypatch.setattr(el.np.linalg, name, refuse)
+    for name in ("expm", "sqrtm"):
+        monkeypatch.setattr(el.sla, name, refuse)
     for coeff, tier in ((CoefficientField.preset(Grid(1, 16), "perturbed"), "dense-fallback"),
                         (CoefficientField.constant(Grid(2, 8), CROSS_A), "fft")):
         op = assemble(coeff.grid, coeff)
@@ -504,18 +546,102 @@ def _squarings(tau, G):
     return max(0, math.ceil(math.log2(tau * np.linalg.norm(G, 1) / el._THETA13)))
 
 
-def test_dense_root_matches_expm():
-    # the root is expm of the scaled argument, then squared s times; on
-    # 1-D N=128 perturbed at t = 0.1 that is 8 squarings for heat and 3 for
-    # Poisson, each within 1e-14 of expm of the whole argument
+def test_dense_root_matches_expm(monkeypatch):
+    # the root is the Pade step on the scaled argument -tau G / 2^s, squared
+    # s times; on 1-D N=128 perturbed at t = 0.1 that is 8 squarings for
+    # heat and 3 for Poisson. The Pade step is within 1e-14 of SciPy's expm
+    # of the same argument, and the squarings are _squared's
     g = Grid(1, 128)
     op = assemble(g, CoefficientField.preset(g, "perturbed"))
     t = 0.1
     M, S = op.matrix, op._sqrt_matrix()
-    assert _squarings(t * t, M) >= 6 and _squarings(t, S) >= 1
-    for got, want in ((op._expm("h", t * t), sla.expm(-t * t * M)),
-                      (op._expm("p", t, gen=S), sla.expm(-t * S))):
-        assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+    seen = []
+    real_expm = el.sla.expm
+
+    def expm(A):
+        seen.append((A.copy(), real_expm(A)))
+        return seen[-1][1].copy()
+
+    monkeypatch.setattr(el.sla, "expm", expm)
+    for got, tau, G in ((op._expm("h", t * t), t * t, M), (op._expm("p", t, gen=S), t, S)):
+        A, root = seen.pop(0)
+        s = _squarings(tau, G)
+        assert s >= 1 and np.array_equal(A, -tau * G * 0.5**s)
+        want = sla.expm(A)
+        assert np.linalg.norm(root - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+        assert np.array_equal(got, el._squared(root, s))
+    assert _squarings(t * t, M) >= 6
+
+
+def test_pade13_matches_scipy_expm():
+    # the Pade step alone, at and below theta_13 in 1-norm, on the dense
+    # route's heat and Poisson generators and on a random complex matrix:
+    # within 1e-14 of SciPy's expm in every entry (entries are at most 1.4)
+    rng = np.random.default_rng(7)
+    g = Grid(1, 64)
+    op = assemble(g, CoefficientField.preset(g, "perturbed"))
+    Z = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    for G in (op.matrix, op._sqrt_matrix(), Z):
+        for norm in (el._THETA13, 1.0, 1e-3):
+            A = -norm / np.linalg.norm(G, 1) * G
+            assert np.abs(el._pade13(A) - sla.expm(A)).max() <= 1e-14, norm
+
+
+def _two_sided(grid):
+    """A diagonal field with modes on both sides of the DFT diagonal, so its
+    stencil is not triangular in the DFT basis and its spectrum leaves the
+    real axis: a_j = 1 + 0.4 e^{2 pi i x_j} + 0.3 e^{-4 pi i x_j} at the
+    faces, and in 2-D A_12 = 0.3i cos(2 pi x_2), A_21 = 0.3i sin(2 pi x_1)."""
+    centers = grid.cell_centers() + grid.h / 2
+    vals = np.zeros(grid.shape + (grid.n, grid.n), dtype=complex)
+    for j in range(grid.n):
+        x = centers[..., j]
+        vals[..., j, j] = 1 + 0.4 * np.exp(2j * np.pi * x) + 0.3 * np.exp(-4j * np.pi * x)
+    if grid.n == 2:
+        vals[..., 0, 1] = 0.3j * np.cos(2 * np.pi * centers[..., 1])
+        vals[..., 1, 0] = 0.3j * np.sin(2 * np.pi * centers[..., 0])
+    return CoefficientField(grid, vals)
+
+
+@pytest.mark.parametrize("coeff, off_axis", [
+    (CoefficientField.preset(Grid(1, 16), "perturbed"), 0.0),
+    (CoefficientField.preset(Grid(2, 8), "perturbed"), 0.0),
+    (_two_sided(Grid(1, 32)), 30.0),
+    (_two_sided(Grid(2, 8)), 20.0),
+], ids=["perturbed-1d-16", "perturbed-2d-8", "two-sided-1d-32", "two-sided-2d-8"])
+def test_sqrtm_matches_scipy_within_eight_steps(monkeypatch, coeff, off_axis):
+    # the shifted stencil of _build_sqrt: Denman-Beavers agrees with SciPy's
+    # Schur-based sqrtm to 1e-12 relative, one inverse per step, in at most
+    # eight steps, on real spectra and on spectra far off the real axis
+    op = assemble(coeff.grid, coeff)
+    assert op.report.tier == "dense-fallback"
+    A = op.matrix + 1.0 / coeff.grid.ncells
+    angles = np.degrees(np.abs(np.angle(np.linalg.eigvals(A))))
+    assert angles.max() >= off_axis
+    steps = []
+    real_inv = el.np.linalg.inv
+
+    def inv(X):
+        steps.append(1)
+        return real_inv(X)
+
+    monkeypatch.setattr(el.np.linalg, "inv", inv)
+    got = el._sqrtm(A)
+    want = sla.sqrtm(A)
+    assert len(steps) <= 8
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("eigs", [(-1.0, 2.0, 3.0), (-4.0, 0.5, 1.0, 9.0), (-1e-3, 1.0, 2.0)])
+def test_sqrtm_raises_on_negative_eigenvalue(eigs):
+    # an eigenvalue on the negative real axis has no principal root: the
+    # iteration raises instead of returning a wrong one, diagonal or not
+    rng = np.random.default_rng(3)
+    n = len(eigs)
+    Q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3 * np.eye(n)
+    for A in (np.diag(eigs).astype(complex), Q @ np.diag(eigs) @ np.linalg.inv(Q)):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            el._sqrtm(A)
 
 
 def test_dense_expm_arguments_within_theta13(monkeypatch):

@@ -640,6 +640,29 @@ class TestWhitney:
             tent.chebyshev_to_complement(m1, g1), brute_chebyshev(m1, g1), atol=1e-12
         )
 
+    @pytest.mark.parametrize("n, N", [(1, 8), (1, 32), (2, 8), (2, 16)])
+    def test_chamfer_matches_minimum_filter(self, n, N):
+        # the box minimum over rolls is minimum_filter(size=3, mode="wrap"),
+        # so the chamfer distance keeps its bits on random masks
+        from scipy.ndimage import minimum_filter
+
+        grid = Grid(n, N)
+        rng = np.random.default_rng(N + n)
+        for density in (0.1, 0.5, 0.9):
+            mask = rng.random(grid.shape) < density
+            D = np.where(mask, np.inf, 0.0)
+            expect = D
+            for _ in range(grid.N):
+                nxt = np.minimum(expect, minimum_filter(expect, size=3, mode="wrap") + grid.h)
+                if np.array_equal(nxt, expect):
+                    break
+                expect = nxt
+            got = tent.chebyshev_to_complement(mask, grid)
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+            field = rng.normal(size=grid.shape)
+            assert np.array_equal(tent._box_min(field),
+                                  minimum_filter(field, size=3, mode="wrap"))
+
     def test_degenerate_masks(self):
         grid = Grid(1, 16)
         with pytest.raises(ValueError, match="empty"):

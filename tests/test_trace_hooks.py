@@ -2,7 +2,8 @@
 (perfbench/spans.py, install): every name it looks up must still resolve,
 and each traced semigroup entry must record one span of its own layer.
 The dense route reads elliptic.sla at call time, so the tracing proxy sees
-its expm and sqrtm even when installed before scipy.linalg has loaded.
+its expm and sqrtm; they are numpy kernels, so a traced dense run loads no
+SciPy module.
 """
 
 import os
@@ -48,9 +49,15 @@ import sys
 import numpy as np
 import spans
 from conical_lab import elliptic, grid
-assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded before install"
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
 rec = spans.Recorder()
 spans.install(rec)
+assert scipy_modules() == [], scipy_modules()
 g = grid.Grid(1, 8)
 op = elliptic.assemble(g, elliptic.CoefficientField.preset(g, "perturbed"))
 assert op.report.tier == "dense-fallback", op.report.tier
@@ -60,6 +67,7 @@ for name, inner in (("heat", "elliptic.expm"), ("poisson", "elliptic.sqrtm")):
     getattr(op, name)(0.2, 1, f)
     names = [s.name for s in rec.spans[before:]]
     assert inner in names, (name, names)
+assert scipy_modules() == [], scipy_modules()
 print("traced")
 """
 
