@@ -45,11 +45,11 @@ EllipticOperator._level), so on TimeGrid.spanning only the lowest three
 levels of each family call expm, and those roots are all the cache keeps:
 a one-time request (heat(t), an off-diagonal norm) is a root, or is
 squared up from a cached root an octave or more below it. A root is the
-Pade 13 step on -tau G / 2^s, with s the least integer >= 0 that brings its
-1-norm to theta_13 = 5.37 (Al-Mohy and Higham, 2009) or below, squared s
-times. Every
-squaring, of a root or up an octave, runs in _squared, which flushes each
-real and imaginary part below sqrt(tiny) ~ 1.5e-154 in magnitude to zero.
+Pade 13 step at cG, c = -tau / 2^s, with s the least integer >= 0 that
+brings ||-tau G||_1 / 2^s to theta_13 = 5.37 (Al-Mohy and Higham, 2009) or
+below, squared s times. Every squaring, of a root or up an octave, runs in
+_squared, which flushes each real and imaginary part below
+sqrt(tiny) ~ 1.5e-154 in magnitude to zero, one block of rows at a time.
 The heat kernel's far entries would otherwise pass through the subnormal
 range, where gradual underflow makes a 512^2 product take 0.17-0.35 s in
 place of 0.02 s; the flush moves each entry, of size at most about 1, by
@@ -59,12 +59,13 @@ of fields; ladder is its one-member case, and heat, poisson and their
 gradients are ladder at the one time (t,).
 
 The dense route runs on numpy alone, through two kernels: _pade13, the
-degree-13 Pade step of a root on its scaled argument (Higham, 2005), and
-_sqrtm, the principal square root by the scaled product-form
-Denman-Beavers iteration (Higham, Functions of Matrices, 2008, 6.3). The
-route reads both through the module name sla (sla.expm and sla.sqrtm) at
-every call, so an object put in its place, such as perfbench's tracing
-proxy, sees every call of each.
+degree-13 Pade step of a root (Higham, 2005), which takes the generator and
+the scale and holds at most five n x n work matrices, and _sqrtm, the
+principal square root by the scaled product-form Denman-Beavers iteration
+(Higham, Functions of Matrices, 2008, 6.3). The route reads both through
+the module name sla (sla.expm and sla.sqrtm) at every call, so an object
+put in its place, such as perfbench's tracing proxy, sees every call of
+each.
 """
 
 from __future__ import annotations
@@ -314,24 +315,21 @@ class EllipticOperator:
         operator matrix. key "h" is heat with tau = t^2, "p" is Poisson with
         tau = t.
 
-        The root is sla.expm, the Pade 13 step, of -tau G / 2^s, with s >= 0
-        the least integer that brings the 1-norm to _THETA13 or below, so
-        the approximant needs no squaring of its own; it is then squared s
-        times in _squared, which keeps every stored part out of gradual
-        underflow. The scaled argument is released before the squarings.
+        The root is sla.expm(G, c), the Pade 13 step at cG with
+        c = -tau / 2^s, and s >= 0 the least integer that brings
+        ||-tau G||_1 / 2^s to _THETA13 or below, so the approximant needs no
+        squaring of its own; it is then squared s times in _squared, which
+        keeps every stored part out of gradual underflow. The step forms the
+        scaled argument itself, so no copy of it outlives the norm.
         """
         G = self.matrix if gen is None else gen
 
         def build():
-            A = -tau * G
-            norm = float(np.linalg.norm(A, 1))
+            norm = float(np.linalg.norm(-tau * G, 1))
             s = 0
             while norm > _THETA13 * 2.0**s:
                 s += 1
-            A *= 0.5**s
-            E = sla.expm(A)
-            del A
-            return _squared(E, s)
+            return _squared(sla.expm(G, -tau * 0.5**s), s)
 
         return self._cached((key, tau), build)
 
@@ -558,6 +556,10 @@ def _gradient_mode(mode):
 # Al-Mohy & Higham (2009): the largest 1-norm at which the Pade 13
 # approximant needs no scaling
 _THETA13 = 5.371920351148152
+# rows or columns per block of every dense pass that works block by block
+# (_flush, _combine, _stencil_matrix, _is_hermitian), so its temporaries are
+# _BLOCK / ncells of a dense matrix each
+_BLOCK = 64
 # below sqrt(tiny) in magnitude, a product of two parts can underflow
 _FLUSH = math.sqrt(np.finfo(float).tiny)
 
@@ -578,8 +580,10 @@ def _squared(E, count):
 
 def _flush(E):
     parts = E.view(np.float64)  # real and imaginary parts, interleaved
-    mag = np.abs(parts)
-    parts[(mag < _FLUSH) & (mag > 0)] = 0.0
+    for lo in range(0, len(parts), _BLOCK):
+        rows = parts[lo:lo + _BLOCK]
+        mag = np.abs(rows)
+        rows[(mag < _FLUSH) & (mag > 0)] = 0.0
 
 
 # ------------------------------------------------------------ dense kernels
@@ -592,24 +596,52 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            960960.0, 16380.0, 182.0, 1.0)
 
 
-def _pade13(A):
-    """r_13(A) = (V - U)^{-1} (V + U), U and V the odd and even parts of
-    p(A): six products and one solve. Backward stable as an approximation
-    of e^A for ||A||_1 <= _THETA13, which _expm's scaling guarantees, so
-    there is no degree selection, norm estimate or squaring here."""
+def _pade13(G, c):
+    """r_13(A) = (V - U)^{-1} (V + U) at A = cG, U and V the odd and even
+    parts of p(A): six products and one solve. Backward stable as an
+    approximation of e^A for ||A||_1 <= _THETA13, which _expm's scaling
+    guarantees, so there is no degree selection, norm estimate or squaring
+    here.
+
+    The step holds at most five n x n work matrices. It forms A for A^2 and
+    again for the last product U = A U', writes each combination
+    b_i A^6 + b_j A^4 + b_k A^2 one block of rows at a time (_combine), the
+    last one into A^4's own rows so that A^2 is gone before the product
+    with A^6, and overwrites V with V + U once V - U is formed. Every entry
+    is rounded as in the plain evaluation on cG (tests/oracles.py)."""
     b = _PADE13
+    A = c * G
     A2 = A @ A
+    del A
     A4 = A2 @ A2
     A6 = A4 @ A2
-    U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-    U += b[7] * A6 + b[5] * A4 + b[3] * A2
-    _add_identity(U, b[1])
-    U = A @ U
-    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-    V += b[6] * A6 + b[4] * A4 + b[2] * A2
+    W = _combine(np.empty_like(A2), A6, A4, A2, b[13], b[11], b[9])
+    Ui = A6 @ W
+    Ui += _combine(W, A6, A4, A2, b[7], b[5], b[3])
+    _add_identity(Ui, b[1])
+    _combine(W, A6, A4, A2, b[12], b[10], b[8])
+    low = _combine(A4, A6, A4, A2, b[6], b[4], b[2])
+    del A2, A4
+    V = A6 @ W
+    del A6, W
+    V += low
+    del low
     _add_identity(V, b[0])
-    del A2, A4, A6
-    return np.linalg.solve(V - U, V + U)
+    U = (c * G) @ Ui
+    del Ui
+    D = V - U
+    V += U
+    del U
+    return np.linalg.solve(D, V)
+
+
+def _combine(out, X, Y, Z, bx, by, bz):
+    """out = bx X + by Y + bz Z, one block of _BLOCK rows at a time; out may
+    be one of the terms, since each block reads its rows before writing."""
+    for lo in range(0, len(out), _BLOCK):
+        r = slice(lo, lo + _BLOCK)
+        out[r] = bx * X[r] + by * Y[r] + bz * Z[r]
+    return out
 
 
 def _add_identity(X, c):
@@ -676,11 +708,6 @@ def _clean_spectrum(eigs):
     out = eigs.copy()
     out[np.abs(out) <= tiny] = 0.0
     return out
-
-
-# columns or rows per block of _stencil_matrix and _is_hermitian, so their
-# temporaries are _BLOCK / ncells of a dense matrix each
-_BLOCK = 64
 
 
 def _stencil_matrix(coeff):

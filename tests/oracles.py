@@ -16,6 +16,9 @@ give the extremes. Critical exponents r_w = inf{r : w in A_r} and
 s_w = inf{s : w in RH_{s'}} are estimated by bisecting a blow-up
 classifier: a constant counts as divergent when it grows by more than a
 fixed factor from resolution N/2 to N.
+
+The dense route's Pade step (elliptic._pade13) is pinned bit for bit to
+pade13_plain, the plain even/odd evaluation of the same approximant.
 """
 
 import math
@@ -224,3 +227,29 @@ def _bisect_threshold(blows, lo, hi, tol):
         else:
             b = m
     return (a, b)
+
+
+# ------------------------------------------------------------ Pade step
+
+# b_k = (26 - k)! / (k! (13 - k)!), the degree-13 Pade coefficients of e^x
+# with b_13 = 1 (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+PADE13 = tuple(float(math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k)))
+               for k in range(14))
+
+
+def pade13_plain(A):
+    """r_13(A) = (V - U)^{-1} (V + U) with U and V the odd and even parts of
+    p(A), evaluated whole: A^2, A^4, A^6, two products for the inner
+    polynomials, one for the odd part and one solve."""
+    b = PADE13
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+    U += b[7] * A6 + b[5] * A4 + b[3] * A2
+    U.flat[::len(A) + 1] += b[1]
+    U = A @ U
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+    V += b[6] * A6 + b[4] * A4 + b[2] * A2
+    V.flat[::len(A) + 1] += b[0]
+    return np.linalg.solve(V - U, V + U)

@@ -8,6 +8,7 @@ from the module under test.
 
 import math
 import struct
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -28,6 +29,7 @@ from conical_lab.elliptic import (
     assemble,
     offdiagonal_opnorm,
 )
+from oracles import pade13_plain
 from subordination_oracle import QuadratureError, poisson_ladder
 
 
@@ -389,14 +391,14 @@ def test_sqrtm_residual_guard(monkeypatch):
 
 
 def _count_dense_builds(monkeypatch, op):
-    """Instrument a fresh operator: every expm input, the sqrtm calls and
-    every cache key built."""
+    """Instrument a fresh operator: every expm argument cG, the sqrtm calls
+    and every cache key built."""
     calls = {"expm": [], "sqrtm": 0, "builds": []}
     real_expm, real_sqrtm, real_cached = el.sla.expm, el.sla.sqrtm, op._cached
 
-    def expm(A):
-        calls["expm"].append(A.tobytes())
-        return real_expm(A)
+    def expm(G, c):
+        calls["expm"].append((c * G).tobytes())
+        return real_expm(G, c)
 
     def sqrtm(A):
         calls["sqrtm"] += 1
@@ -526,6 +528,13 @@ def test_squared_flushes_exactly_below_sqrt_tiny():
     assert out is Z
     # the flushed parts are +0.0, every other part keeps its bits
     assert np.array_equal(Z.view(np.uint64), want.view(np.uint64))
+    # the same across _flush's row blocks, on 2.5 blocks of rows
+    n = 5 * el._BLOCK // 2
+    Z = np.empty((n, n), dtype=complex)
+    Z.real, Z.imag = rng.choice(values, (n, n)), rng.choice(values, (n, n))
+    want = _flush_reference(Z)
+    el._flush(Z)
+    assert np.array_equal(Z.view(np.uint64), want.view(np.uint64))
 
     # each product is flushed too, and the input is flushed in place
     g = Grid(1, 64)
@@ -547,10 +556,11 @@ def _squarings(tau, G):
 
 
 def test_dense_root_matches_expm(monkeypatch):
-    # the root is the Pade step on the scaled argument -tau G / 2^s, squared
-    # s times; on 1-D N=128 perturbed at t = 0.1 that is 8 squarings for
-    # heat and 3 for Poisson. The Pade step is within 1e-14 of SciPy's expm
-    # of the same argument, and the squarings are _squared's
+    # the root is the Pade step on the scaled argument cG with c = -tau / 2^s,
+    # squared s times; on 1-D N=128 perturbed at t = 0.1 that is 8 squarings
+    # for heat and 3 for Poisson. The step gets the cached generator itself,
+    # cG equals -tau G / 2^s entry for entry, the step is within 1e-14 of
+    # SciPy's expm of cG, and the squarings are _squared's
     g = Grid(1, 128)
     op = assemble(g, CoefficientField.preset(g, "perturbed"))
     t = 0.1
@@ -558,14 +568,16 @@ def test_dense_root_matches_expm(monkeypatch):
     seen = []
     real_expm = el.sla.expm
 
-    def expm(A):
-        seen.append((A.copy(), real_expm(A)))
-        return seen[-1][1].copy()
+    def expm(G, c):
+        seen.append((G, c, real_expm(G, c)))
+        return seen[-1][2].copy()
 
     monkeypatch.setattr(el.sla, "expm", expm)
     for got, tau, G in ((op._expm("h", t * t), t * t, M), (op._expm("p", t, gen=S), t, S)):
-        A, root = seen.pop(0)
+        gen, c, root = seen.pop(0)
         s = _squarings(tau, G)
+        assert gen is G
+        A = c * G
         assert s >= 1 and np.array_equal(A, -tau * G * 0.5**s)
         want = sla.expm(A)
         assert np.linalg.norm(root - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
@@ -575,16 +587,38 @@ def test_dense_root_matches_expm(monkeypatch):
 
 def test_pade13_matches_scipy_expm():
     # the Pade step alone, at and below theta_13 in 1-norm, on the dense
-    # route's heat and Poisson generators and on a random complex matrix:
-    # within 1e-14 of SciPy's expm in every entry (entries are at most 1.4)
+    # route's heat and Poisson generators and on a random complex matrix.
+    # The step forms cG itself and its combinations in row blocks, and still
+    # gives the bits of the plain evaluation on cG; it is within 1e-14 of
+    # SciPy's expm in every entry (entries are at most 1.4)
     rng = np.random.default_rng(7)
     g = Grid(1, 64)
     op = assemble(g, CoefficientField.preset(g, "perturbed"))
     Z = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     for G in (op.matrix, op._sqrt_matrix(), Z):
         for norm in (el._THETA13, 1.0, 1e-3):
-            A = -norm / np.linalg.norm(G, 1) * G
-            assert np.abs(el._pade13(A) - sla.expm(A)).max() <= 1e-14, norm
+            c = -norm / np.linalg.norm(G, 1)
+            got = el._pade13(G, c)
+            want = pade13_plain(c * G)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), norm
+            assert np.abs(got - sla.expm(c * G)).max() <= 1e-14, norm
+
+
+def test_pade13_holds_at_most_six_matrices():
+    # traced peak of the step on the 2-D N=16 perturbed generator, which the
+    # caller holds: five work matrices and the row-block temporaries (a
+    # quarter of a matrix each at 256 cells). The plain evaluation holds seven
+    g = Grid(2, 16)
+    op = assemble(g, CoefficientField.preset(g, "perturbed"))
+    G = op.matrix
+    c = -el._THETA13 / np.linalg.norm(G, 1)
+    tracemalloc.start()
+    try:
+        el._pade13(G, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * G.nbytes, peak / G.nbytes
 
 
 def _two_sided(grid):
@@ -645,7 +679,7 @@ def test_sqrtm_raises_on_negative_eigenvalue(eigs):
 
 
 def test_dense_expm_arguments_within_theta13(monkeypatch):
-    # a spy on expm sees only arguments whose 1-norm is at most theta_13,
+    # a spy on expm sees only arguments cG whose 1-norm is at most theta_13,
     # so the Pade 13 approximant never scales; no time is an octave above
     # another, so each is a root, and heat at t = 0.3 takes 9 squarings
     g = Grid(1, 64)
@@ -653,9 +687,9 @@ def test_dense_expm_arguments_within_theta13(monkeypatch):
     norms = []
     real_expm = el.sla.expm
 
-    def expm(A):
-        norms.append(np.linalg.norm(A, 1))
-        return real_expm(A)
+    def expm(G, c):
+        norms.append(np.linalg.norm(c * G, 1))
+        return real_expm(G, c)
 
     monkeypatch.setattr(el.sla, "expm", expm)
     times = (0.02, 0.1, 0.3)

@@ -37,9 +37,9 @@ kernels = elliptic.sla
 
 
 def counted(name):
-    def call(A):
+    def call(*args):
         calls.append(name)
-        return getattr(kernels, name)(A)
+        return getattr(kernels, name)(*args)
     return call
 
 
