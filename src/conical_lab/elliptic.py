@@ -28,7 +28,7 @@ tier builds op.matrix only when it is read.
 Every family member goes through one seam: _symbol writes the spectral
 symbols and their time components, _apply evaluates every member asked of
 one family at every time of a ladder on columns, in whichever tier the
-operator has, and _members adds the scaled gradients. The Poisson family
+operator has, and ladders adds the scaled gradients. The Poisson family
 has one route, the principal-branch calculus of L: its symbol on the
 spectral tiers, sqrtm then expm on the dense one. The two spectral tiers
 project onto their unitary basis once (fftn over the grid axes, or V^H) and
@@ -310,32 +310,10 @@ class EllipticOperator:
             hit = self._cache[key] = build()
         return hit
 
-    def _expm(self, key, tau, gen=None):
-        """Dense root e^{-tau G}, cached by (key, tau); G defaults to the
-        operator matrix. key "h" is heat with tau = t^2, "p" is Poisson with
-        tau = t.
-
-        The root is sla.expm(G, c), the Pade 13 step at cG with
-        c = -tau / 2^s, and s >= 0 the least integer that brings
-        ||-tau G||_1 / 2^s to _THETA13 or below, so the approximant needs no
-        squaring of its own; it is then squared s times in _squared, which
-        keeps every stored part out of gradual underflow. The step forms the
-        scaled argument itself, so no copy of it outlives the norm.
-        """
-        G = self.matrix if gen is None else gen
-
-        def build():
-            norm = float(np.linalg.norm(-tau * G, 1))
-            s = 0
-            while norm > _THETA13 * 2.0**s:
-                s += 1
-            return _squared(sla.expm(G, -tau * 0.5**s), s)
-
-        return self._cached((key, tau), build)
-
-    def _level(self, key, tau, window, gen):
+    def _level(self, key, tau, window, G):
         """Dense e^{-tau G} for a walk in ascending order, whose levels so
-        far, and the cached roots, are window {tau: matrix}.
+        far, and the cached roots, are window {tau: matrix}: heat (key "h",
+        tau = t^2, G the operator matrix) or Poisson ("p", tau = t, G its root).
 
         A level j >= 1 octaves above a window entry (t to 2^j t, within
         1e-13 relative) is built from the nearest such entry: heat squares
@@ -346,10 +324,10 @@ class EllipticOperator:
         as stable as the scaling-and-squaring step of expm itself. The
         squared level is e^{-tau' G} with |tau' - tau| <= 1e-13 tau, so it
         differs from e^{-tau G} by at most about tau ||G||_2 times that
-        mismatch. Any other level is a cached root (_expm). The level joins
-        the window, and every entry whose octave is at or below it leaves:
-        on a ladder the level it was squared from, which no later level
-        needs, so the window spans one octave.
+        mismatch. Any other level is a root (_root), cached by (key, tau).
+        The level joins the window, and every entry whose octave is at or
+        below it leaves: on a ladder the level it was squared from, which no
+        later level needs, so the window spans one octave.
         """
         squarings = 2 if key == "h" else 1  # per octave
         base = 2.0**squarings
@@ -364,7 +342,7 @@ class EllipticOperator:
                 s, j = max(below)
                 E = _squared(window.pop(s), squarings * j)
             else:
-                E = self._expm(key, tau, gen)
+                E = self._cached((key, tau), lambda: _root(G, tau))
         for s in [s for s in window if s * base < tau * (1 + 1e-13)]:
             del window[s]
         window[tau] = E
@@ -449,7 +427,7 @@ class EllipticOperator:
         for i in np.argsort(times, kind="stable"):
             t = times[i]
             tau = t * t
-            E = self._level(key, tau if heat else t, window, S)
+            E = self._level(key, tau if heat else t, window, self.matrix if heat else S)
             links = [E @ cols]
             for _ in range(top):
                 links.append(tau * (self.matrix @ links[-1]))
@@ -487,59 +465,57 @@ class EllipticOperator:
         2K P_K - phi_{K+1/2}(L) with phi_{K+1/2}(z) = (t sqrt(z))^{2K+1} e^{-t sqrt(z)}."""
         return self.ladder("poisson", K, _gradient_mode(mode), (t,), f)[0]
 
-    def _members(self, family, times, members, cols):
-        """Members of one family, each an (order, derivative) pair as
-        SemigroupRequest names it, at every time of times, from columns
-        (ncells, B) to one array of components (len(times), comps, B, ncells)
-        per member, all from one _apply. Each member's rows are released as
-        soon as its components are built.
-
-        "spatial" is t times the forward difference along each axis, "full"
-        appends the time component t d/dt (member).
-        """
-        n, h, shape = self.grid.n, self.grid.h, self.grid.shape
-        L, B = times.size, cols.shape[1]
-        tb = times.reshape(L, *([1] * (n + 1)))
-        applied = self._apply(family, times, [(m, d == "full") for m, d in members], cols)
-        out = []
-        for k, (m, derivative) in enumerate(members):
-            base, applied[k] = applied[k], None
-            if derivative == "full":
-                base, dt = base
-            if derivative == "none":
-                out.append(base[:, None])
-                continue
-            fields = base.reshape(L, B, *shape)
-            comps = [(tb * _fwd(fields, n, j, h)).reshape(L, B, -1) for j in range(n)]
-            if derivative == "full":
-                comps.append(dt)
-            out.append(np.stack(comps, axis=1))
-        return out
-
     # --------------------------------------------------------- time ladder
 
     def ladders(self, family, members, levels, f):
         """Several members of one family at every time of levels, for a field
-        or a batch, from one walk of the family's ladder.
+        or a batch, from one walk of the family's ladder (_apply).
 
-        members is a nonempty sequence of (order, derivative) pairs, each
-        naming a member as SemigroupRequest does: "none" is the family
-        itself, "spatial" and "full" are the components of heat_gradient /
-        poisson_gradient. Returns a list with one array per member, of shape
-        (len(levels), comps, *grid.shape) for one field f and
-        (len(levels), comps, B, *grid.shape) for a batch (B, *grid.shape).
+        family is "heat" or "poisson"; members is a nonempty sequence of
+        (order, derivative) pairs, order a nonnegative integer: derivative
+        "none" is the member (t^2 L)^m e^{-t^2 L} or
+        (t sqrt(L))^{2m} e^{-t sqrt(L)} itself, "spatial" is t times its
+        forward difference along each axis, and "full" appends the time
+        component t d/dt (member), as in heat_gradient / poisson_gradient.
+        Every time must be positive. Returns a list with one array per
+        member, of shape (len(levels), comps, *grid.shape) for one field f
+        and (len(levels), comps, B, *grid.shape) for a batch
+        (B, *grid.shape). Each member's rows are released as soon as its
+        components are built.
         """
         times = np.asarray(levels, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("levels must be a nonempty sequence of times")
         if not members:
             raise ValueError("members must name at least one member")
+        if family not in ("heat", "poisson"):
+            raise ValueError("family must be heat or poisson")
         for order, derivative in members:
-            SemigroupRequest(family, float(times.min()), order, derivative)
+            if derivative not in ("none", "spatial", "full"):
+                raise ValueError("derivative must be none, spatial or full")
+            if order < 0 or int(order) != order:
+                raise ValueError("order must be a nonnegative integer")
+        if not (times > 0).all():  # a NaN time fails too
+            raise ValueError("time must be positive")
         cols, batch = self._as_columns(f)
-        out = self._members(family, times, [(int(o), d) for o, d in members], cols)
-        fields = [x.reshape(*x.shape[:3], *self.grid.shape) for x in out]
-        return fields if batch else [x[:, :, 0] for x in fields]
+        n, h, shape = self.grid.n, self.grid.h, self.grid.shape
+        L, B = times.size, cols.shape[1]
+        tb = times.reshape(L, *([1] * (n + 1)))
+        applied = self._apply(family, times, [(int(m), d == "full") for m, d in members], cols)
+        out = []
+        for k, (m, derivative) in enumerate(members):
+            base, applied[k] = applied[k], None
+            if derivative == "full":
+                base, dt = base
+            fields = base.reshape(L, B, *shape)
+            if derivative == "none":
+                out.append(fields[:, None])
+                continue
+            comps = [tb * _fwd(fields, n, j, h) for j in range(n)]
+            if derivative == "full":
+                comps.append(dt.reshape(L, B, *shape))
+            out.append(np.stack(comps, axis=1))
+        return out if batch else [x[:, :, 0] for x in out]
 
     def ladder(self, family, order, derivative, levels, f):
         """One family member at every time of levels: ladders with the one
@@ -562,6 +538,20 @@ _THETA13 = 5.371920351148152
 _BLOCK = 64
 # below sqrt(tiny) in magnitude, a product of two parts can underflow
 _FLUSH = math.sqrt(np.finfo(float).tiny)
+
+
+def _root(G, tau):
+    """Dense root e^{-tau G}: sla.expm(G, c), the Pade 13 step at cG with
+    c = -tau / 2^s, and s >= 0 the least integer that brings ||-tau G||_1 / 2^s
+    to _THETA13 or below, so the approximant needs no squaring of its own;
+    it is then squared s times in _squared, which keeps every stored part
+    out of gradual underflow. The step forms the scaled argument itself, so
+    no copy of it outlives the norm."""
+    norm = float(np.linalg.norm(-tau * G, 1))
+    s = 0
+    while norm > _THETA13 * 2.0**s:
+        s += 1
+    return _squared(sla.expm(G, -tau * 0.5**s), s)
 
 
 def _squared(E, count):
@@ -599,7 +589,7 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 def _pade13(G, c):
     """r_13(A) = (V - U)^{-1} (V + U) at A = cG, U and V the odd and even
     parts of p(A): six products and one solve. Backward stable as an
-    approximation of e^A for ||A||_1 <= _THETA13, which _expm's scaling
+    approximation of e^A for ||A||_1 <= _THETA13, which _root's scaling
     guarantees, so there is no degree selection, norm estimate or squaring
     here.
 
@@ -769,45 +759,28 @@ def assemble(grid, coeff):
 # --------------------------------------------------------- restricted norms
 
 
-@dataclass(frozen=True)
-class SemigroupRequest:
-    """One member of the operator families under study."""
-
-    family: str
-    time: float
-    order: int = 0
-    derivative: str = "none"
-
-    def __post_init__(self):
-        if self.family not in ("heat", "poisson"):
-            raise ValueError("family must be heat or poisson")
-        if self.derivative not in ("none", "spatial", "full"):
-            raise ValueError("derivative must be none, spatial or full")
-        if self.order < 0 or int(self.order) != self.order:
-            raise ValueError("order must be a nonnegative integer")
-        if self.time <= 0:
-            raise ValueError("time must be positive")
-
-
-def offdiagonal_opnorm(op, request, E, F):
+def offdiagonal_opnorm(op, family, order, derivative, t, E, Fs):
     """||chi_F T chi_E|| from l2 on E to l2 on F (l2 over components too),
-    for the member T that request names.
+    for each set F of Fs, with T the member (order, derivative) of family at
+    time t, as EllipticOperator.ladders names it.
 
-    The restricted block takes one ladder call on the batch of |E| unit
-    fields of E; the norm of its rows on F is its largest singular value,
-    exact up to the SVD's roundoff.
+    Every norm comes from one ladder call on the batch of |E| unit fields of
+    E; the norm of that block's rows on F is its largest singular value,
+    exact up to the SVD's roundoff. E and each F are cell indices in
+    [0, ncells), nonempty, and each F is disjoint from E.
     """
-    E = np.unique(np.asarray(E, dtype=int))
-    F = np.unique(np.asarray(F, dtype=int))
-    if E.size == 0 or F.size == 0:
-        raise ValueError("E and F must be nonempty")
-    if np.intersect1d(E, F).size:
-        raise ValueError("E and F must be disjoint")
+    E, *Fs = (np.unique(np.asarray(cells, dtype=int)) for cells in (E, *Fs))
+    for cells in (E, *Fs):
+        if cells.size == 0:
+            raise ValueError("E and every F must be nonempty")
+        if cells[0] < 0 or cells[-1] >= op.ncells:
+            raise ValueError(f"cell indices must lie in [0, {op.ncells})")
+        if cells is not E and np.intersect1d(E, cells).size:
+            raise ValueError("E and F must be disjoint")
     unit = np.zeros((E.size, op.ncells), dtype=complex)
     unit[np.arange(E.size), E] = 1.0
-    fields = op.ladder(request.family, request.order, request.derivative,
-                       (request.time,), unit.reshape(E.size, *op.grid.shape))[0]
+    fields = op.ladder(family, order, derivative, (t,), unit.reshape(E.size, *op.grid.shape))[0]
     comps = fields.shape[0]
+    images = fields.reshape(comps, E.size, -1).transpose(0, 2, 1)
     # rows: component-major blocks of the cells of F; columns: the cells of E
-    block = fields.reshape(comps, E.size, -1)[:, :, F].transpose(0, 2, 1)
-    return float(np.linalg.norm(block.reshape(comps * F.size, E.size), 2))
+    return [float(np.linalg.norm(images[:, F].reshape(comps * F.size, E.size), 2)) for F in Fs]

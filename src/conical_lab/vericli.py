@@ -47,7 +47,6 @@ from .weights import (
 )
 from .elliptic import (
     CoefficientField,
-    SemigroupRequest,
     assemble,
     offdiagonal_opnorm,
 )
@@ -623,16 +622,12 @@ def run_offdiagonal(cfg):
     if any(cells.size == 0 for cells in (E, *Fs)):
         raise ConfigError(f"radius {radius} captures no cell at N = {grid.N}")
     order = cfg.order
-    requests = {label: SemigroupRequest(kind, t, order, derivative)
-                for label, kind, derivative in _OFFDIAG_FAMILIES}
     x_exp = (np.asarray(seps) / t) ** 2
     x_pol = np.log1p(x_exp)
     table = ResultTable()
-    for label, req in requests.items():
-        vals = []
-        for d, F in zip(seps, Fs):
-            v = offdiagonal_opnorm(op, req, E, F)
-            vals.append(v)
+    for label, family, derivative in _OFFDIAG_FAMILIES:
+        vals = offdiagonal_opnorm(op, family, order, derivative, t, E, Fs)
+        for d, v in zip(seps, vals):
             table.info("offdiag", {"family": label, "order": order,
                                    "d": d, "t": t}, v)
         y = np.log(vals)
@@ -647,7 +642,7 @@ def run_offdiagonal(cfg):
         table.info("offdiag", {**base, "stat": "model_preference",
                                "prefers": prefers},
                    rss_exp / rss_pol)
-        if req.family == "heat":
+        if family == "heat":
             ok = prefers == "exp" and slope_exp <= -0.125
             table.add("offdiag", {**base, "stat": "exp_slope"},
                       float(slope_exp), -0.125, "derived", 0.0,
@@ -655,7 +650,7 @@ def run_offdiagonal(cfg):
         else:
             # Poisson kernels decay polynomially: order K + 1/2 for the
             # member, K + 1 for its gradient
-            want = order + (1.0 if req.derivative == "spatial" else 0.5)
+            want = order + (1.0 if derivative == "spatial" else 0.5)
             ok = poly_order >= want - 0.5
             table.add("offdiag", {**base, "stat": "poly_order"},
                       poly_order, want, "paper", 0.5,

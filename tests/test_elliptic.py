@@ -25,7 +25,6 @@ from conical_lab import elliptic as el
 from conical_lab.elliptic import (
     CoefficientField,
     EllipticityError,
-    SemigroupRequest,
     assemble,
     offdiagonal_opnorm,
 )
@@ -573,7 +572,7 @@ def test_dense_root_matches_expm(monkeypatch):
         return seen[-1][2].copy()
 
     monkeypatch.setattr(el.sla, "expm", expm)
-    for got, tau, G in ((op._expm("h", t * t), t * t, M), (op._expm("p", t, gen=S), t, S)):
+    for got, tau, G in ((el._root(M, t * t), t * t, M), (el._root(S, t), t, S)):
         gen, c, root = seen.pop(0)
         s = _squarings(tau, G)
         assert gen is G
@@ -711,9 +710,8 @@ def test_dense_entries_hold_no_underflow():
     pts = g.cell_centers().reshape(-1, 1)
     E = np.flatnonzero(torus_distance(pts, [0.25]) < 0.04)
     F = np.flatnonzero(torus_distance(pts, [0.55]) < 0.04)
-    for req in (SemigroupRequest("heat", 0.01), SemigroupRequest("heat", 0.1),
-                SemigroupRequest("poisson", 0.1)):
-        offdiagonal_opnorm(op, req, E, F)
+    for family, t in (("heat", 0.01), ("heat", 0.1), ("poisson", 0.1)):
+        offdiagonal_opnorm(op, family, 0, "none", t, E, [F])
     assert set(op._cache) == {"matrix", "sqrt", ("h", 0.01 ** 2), ("h", 0.1 ** 2), ("p", 0.1)}
     for key, D in op._cache.items():
         parts = np.abs(np.stack([D.real, D.imag]))
@@ -1269,28 +1267,30 @@ def test_ladder_validation(lap1):
 # ---------------------------------------------------------- exact norms
 
 
+# (family, t, order, derivative)
 REQUESTS = [
-    SemigroupRequest("heat", 0.2),
-    SemigroupRequest("heat", 0.2, order=2),
-    SemigroupRequest("heat", 0.3, derivative="spatial"),
-    SemigroupRequest("heat", 0.3, order=1, derivative="full"),
-    SemigroupRequest("poisson", 0.4),
-    SemigroupRequest("poisson", 0.4, order=1),
-    SemigroupRequest("poisson", 0.4, derivative="spatial"),
-    SemigroupRequest("poisson", 0.4, order=1, derivative="full"),
+    ("heat", 0.2, 0, "none"),
+    ("heat", 0.2, 2, "none"),
+    ("heat", 0.3, 0, "spatial"),
+    ("heat", 0.3, 1, "full"),
+    ("poisson", 0.4, 0, "none"),
+    ("poisson", 0.4, 1, "none"),
+    ("poisson", 0.4, 0, "spatial"),
+    ("poisson", 0.4, 1, "full"),
 ]
 
 
 def _reference_member(op, req):
-    """Dense matrix of the member req names, components stacked as row
-    blocks, from expm/sqrtm of op.matrix: the family Q, then t times the
-    forward difference along each axis, then t d/dt Q = 2m Q - R with
+    """Dense matrix of the member req = (family, t, order, derivative)
+    names, components stacked as row blocks, from expm/sqrtm of op.matrix:
+    the family Q, then t times the forward difference along each axis, then
+    t d/dt Q = 2m Q - R with
     R = 2 (t^2 M)^{m+1} e^{-t^2 M} (heat) or (t S)^{2m+1} e^{-t S} (Poisson)."""
     g = op.grid
     M = op.matrix
-    t, m = req.time, req.order
+    family, t, m, derivative = req
     power = np.linalg.matrix_power(t * t * M, m)
-    if req.family == "heat":
+    if family == "heat":
         semi = sla.expm(-t * t * M)
         R = 2 * (t * t * M) @ power @ semi
     else:
@@ -1301,14 +1301,14 @@ def _reference_member(op, req):
         semi = sla.expm(-t * S)
         R = (t * S) @ power @ semi
     Q = power @ semi
-    if req.derivative == "none":
+    if derivative == "none":
         return Q
     unit = np.eye(g.ncells).reshape(g.ncells, *g.shape)
     comps = []
     for j in range(g.n):
         D = (np.roll(unit, -1, axis=j + 1) - unit).reshape(g.ncells, -1).T / g.h
         comps.append(t * D @ Q)
-    if req.derivative == "full":
+    if derivative == "full":
         comps.append(2 * m * Q - R)
     return np.concatenate(comps, axis=0)
 
@@ -1332,18 +1332,43 @@ def test_offdiagonal_opnorm_exact_oracle(fix, request):
         rows = np.concatenate([F + c * g.ncells for c in range(comps)])
         block = T[np.ix_(rows, E)]
         want = np.linalg.svd(block, compute_uv=False)[0]
-        assert offdiagonal_opnorm(op, req, E, F) == pytest.approx(want, rel=1e-10), req
+        family, t, order, derivative = req
+        got = offdiagonal_opnorm(op, family, order, derivative, t, E, [F])
+        assert got == [pytest.approx(want, rel=1e-10)], req
 
 
-def test_request_validation():
-    with pytest.raises(ValueError, match="family"):
-        SemigroupRequest("wave", 0.1)
-    with pytest.raises(ValueError, match="derivative"):
-        SemigroupRequest("heat", 0.1, derivative="angular")
-    with pytest.raises(ValueError, match="order"):
-        SemigroupRequest("heat", 0.1, order=-1)
-    with pytest.raises(ValueError, match="time"):
-        SemigroupRequest("heat", 0.0)
+@pytest.mark.parametrize("fix", ["lap1", "pert1_16", "cross2"])
+def test_offdiagonal_opnorm_many_targets_is_one_target_each(fix, request):
+    # one ladder call serves every target set: each norm has the bits of the
+    # call on that set alone
+    op = request.getfixturevalue(fix)
+    g = op.grid
+    pts = g.cell_centers().reshape(-1, g.n)
+    anchor = np.full(g.n, 0.25)
+    E = np.flatnonzero(torus_distance(pts, anchor) < 0.1)
+    Fs = []
+    for d in (0.25, 0.35, 0.5):
+        shifted = anchor.copy()
+        shifted[0] += d
+        Fs.append(np.flatnonzero(torus_distance(pts, shifted) < 0.1))
+    for family, t, order, derivative in REQUESTS:
+        got = offdiagonal_opnorm(op, family, order, derivative, t, E, Fs)
+        want = [offdiagonal_opnorm(op, family, order, derivative, t, E, [F])[0] for F in Fs]
+        assert got == want, (family, t, order, derivative)
+
+
+def test_request_validation(lap1):
+    f = np.ones(lap1.grid.shape)
+    with pytest.raises(ValueError, match="family must be heat or poisson"):
+        lap1.ladder("wave", 0, "none", (0.1,), f)
+    with pytest.raises(ValueError, match="derivative must be none, spatial or full"):
+        lap1.ladder("heat", 0, "angular", (0.1,), f)
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        lap1.ladder("heat", -1, "none", (0.1,), f)
+    with pytest.raises(ValueError, match="time must be positive"):
+        lap1.ladder("heat", 0, "none", (0.0,), f)
+    with pytest.raises(ValueError, match="time must be positive"):
+        lap1.ladder("heat", 0, "none", (0.1, math.nan), f)
 
 
 # ------------------------------------------------------- off-diagonal decay
@@ -1365,9 +1390,22 @@ def test_restricted_opnorm_validation(lap1_128):
     g = lap1_128.grid
     E, F = _interval_sets(g, 0.2, 0.5, 0.05)
     with pytest.raises(ValueError, match="disjoint"):
-        offdiagonal_opnorm(lap1_128, SemigroupRequest("heat", 0.1), E, E)
+        offdiagonal_opnorm(lap1_128, "heat", 0, "none", 0.1, E, [E])
+    with pytest.raises(ValueError, match="disjoint"):
+        offdiagonal_opnorm(lap1_128, "heat", 0, "none", 0.1, E, [F, E])
     with pytest.raises(ValueError, match="nonempty"):
-        offdiagonal_opnorm(lap1_128, SemigroupRequest("heat", 0.1), E[:0], F)
+        offdiagonal_opnorm(lap1_128, "heat", 0, "none", 0.1, E[:0], [F])
+    with pytest.raises(ValueError, match="nonempty"):
+        offdiagonal_opnorm(lap1_128, "heat", 0, "none", 0.1, E, [F, F[:0]])
+    # a negative index would wrap to the last cell: on N = 16, E = [-1] and
+    # F = [15] name one cell twice, and the norm would be a diagonal one
+    g = Grid(1, 16)
+    op = assemble(g, CoefficientField.preset(g, "laplace"))
+    for E, F in (([-1], [15]), ([0], [g.ncells]), ([g.ncells + 3], [4]), ([0], [4, -2])):
+        with pytest.raises(ValueError, match=r"cell indices must lie in \[0, 16\)"):
+            offdiagonal_opnorm(op, "heat", 0, "none", 0.1, E, [F])
+    # the cells at either end of the range are accepted
+    assert offdiagonal_opnorm(op, "heat", 0, "none", 0.1, [0], [[g.ncells - 1]])[0] > 0
 
 
 def test_offdiagonal_gaussian_decay(lap1_128):
@@ -1378,7 +1416,7 @@ def test_offdiagonal_gaussian_decay(lap1_128):
     xs, ys = [], []
     for d in (0.06, 0.08, 0.10, 0.12):
         E, F = _interval_sets(g, 0.2, 0.2 + 2 * r + d, r)
-        v = offdiagonal_opnorm(lap1_128, SemigroupRequest("heat", t), E, F)
+        v, = offdiagonal_opnorm(lap1_128, "heat", 0, "none", t, E, [F])
         xs.append((d / t) ** 2)
         ys.append(math.log(v))
     slope = np.polyfit(xs, ys, 1)[0]
@@ -1390,7 +1428,7 @@ def test_offdiagonal_large_time_projection(lap1_128):
     # projection, whose restricted norm is h sqrt(|E| |F|)
     g = lap1_128.grid
     E, F = _interval_sets(g, 0.2, 0.62, 0.04)
-    v = offdiagonal_opnorm(lap1_128, SemigroupRequest("heat", 1.0), E, F)
+    v, = offdiagonal_opnorm(lap1_128, "heat", 0, "none", 1.0, E, [F])
     want = g.h * math.sqrt(E.size * F.size)
     assert v == pytest.approx(want, rel=1e-6)
     assert v <= 1 + 1e-9
@@ -1434,8 +1472,8 @@ def test_composition_split_bound(lap1_128):
 
         out = op.heat(t, 0, op.heat(s, 0, _unit_fields(g, E)))
         comp = np.linalg.norm(out.reshape(E.size, -1).T[F], 2)
-        term_p = offdiagonal_opnorm(op, SemigroupRequest("heat", t), G, F)
-        term_q = offdiagonal_opnorm(op, SemigroupRequest("heat", s), E, Gc)
+        term_p, = offdiagonal_opnorm(op, "heat", 0, "none", t, G, [F])
+        term_q, = offdiagonal_opnorm(op, "heat", 0, "none", s, E, [Gc])
         rhs = term_p + term_q
         assert comp <= 1.1 * rhs, (t, s, d)
         assert rhs < 0.5  # separation keeps the bound informative

@@ -27,7 +27,8 @@ assert grid.ball_sum is not original_sum, "grid.ball_sum not rebound"
 for mod in (tent, weights):
     assert mod.ball_sum is grid.ball_sum, f"{mod.__name__}.ball_sum not rebound"
 # the one-time entries delegate to ladder, which is not traced: each call
-# still records one span of its own layer, and offdiagonal_opnorm none of them
+# still records one span of its own layer, and offdiagonal_opnorm, on two
+# target sets, only its own one
 g = grid.Grid(1, 8)
 op = elliptic.assemble(g, elliptic.CoefficientField.preset(g, "laplace"))
 f = np.ones(g.shape)
@@ -37,7 +38,7 @@ for name in ("heat", "poisson", "heat_gradient", "poisson_gradient"):
     names = [s.name for s in rec.spans[before:]]
     assert names == [f"elliptic.{name}"], (name, names)
 before = len(rec.spans)
-vericli.offdiagonal_opnorm(op, elliptic.SemigroupRequest("heat", 0.2), [0], [4])
+vericli.offdiagonal_opnorm(op, "heat", 0, "none", 0.2, [0], [[4], [5]])
 names = [s.name for s in rec.spans[before:]]
 assert names == ["elliptic.offdiagonal_opnorm"], names
 print("installed")

@@ -332,6 +332,23 @@ class TestOffdiagonal:
         assert prefs["poisson"] == "poly"
         assert prefs["poisson_gradient"] == "poly"
 
+    def test_one_ladder_call_per_family(self, monkeypatch):
+        # every separation's norm comes from the one ladder call of its
+        # family: four calls in all, one per entry of _OFFDIAG_FAMILIES
+        from conical_lab.elliptic import EllipticOperator
+        calls = []
+        real = EllipticOperator.ladders
+
+        def ladders(op, family, members, levels, f):
+            calls.append((family, tuple(members)))
+            return real(op, family, members, levels, f)
+
+        monkeypatch.setattr(EllipticOperator, "ladders", ladders)
+        vericli.run_offdiagonal(make())
+        want = [(family, ((0, derivative),))
+                for _, family, derivative in vericli._OFFDIAG_FAMILIES]
+        assert calls == want and len(calls) == 4
+
     def test_overlapping_sets_rejected(self):
         cfg = make("N = 32\nseparations = 0.05, 0.2, 0.3")
         with pytest.raises(ConfigError, match="disjoint"):
