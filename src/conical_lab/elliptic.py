@@ -62,10 +62,11 @@ The dense route runs on numpy alone, through two kernels: _pade13, the
 degree-13 Pade step of a root (Higham, 2005), which takes the generator and
 the scale and holds at most five n x n work matrices, and _sqrtm, the
 principal square root by the scaled product-form Denman-Beavers iteration
-(Higham, Functions of Matrices, 2008, 6.3). The route reads both through
-the module name sla (sla.expm and sla.sqrtm) at every call, so an object
-put in its place, such as perfbench's tracing proxy, sees every call of
-each.
+(Higham, Functions of Matrices, 2008, 6.3), which takes the generator and
+the shift and enters each inverse with two work matrices. The route reads
+both through the module name sla (sla.expm and sla.sqrtm) at every call,
+so an object put in its place, such as perfbench's tracing proxy, sees
+every call of each.
 """
 
 from __future__ import annotations
@@ -356,8 +357,8 @@ class EllipticOperator:
         # inverts its argument; L1 = 0 holds exactly, so shift that mode to
         # 1 (add 1/nc to every entry), take the root, and shift back
         shift = 1.0 / self.ncells
+        S = sla.sqrtm(self.matrix, shift)
         A = self.matrix + shift
-        S = sla.sqrtm(A)
         R = S @ S
         R -= A
         resid = float(np.linalg.norm(R) / np.linalg.norm(A))
@@ -477,9 +478,9 @@ class EllipticOperator:
         (t sqrt(L))^{2m} e^{-t sqrt(L)} itself, "spatial" is t times its
         forward difference along each axis, and "full" appends the time
         component t d/dt (member), as in heat_gradient / poisson_gradient.
-        Every time must be positive. Returns a list with one array per
-        member, of shape (len(levels), comps, *grid.shape) for one field f
-        and (len(levels), comps, B, *grid.shape) for a batch
+        Every time must be positive and finite. Returns a list with one
+        array per member, of shape (len(levels), comps, *grid.shape) for one
+        field f and (len(levels), comps, B, *grid.shape) for a batch
         (B, *grid.shape). Each member's rows are released as soon as its
         components are built.
         """
@@ -495,8 +496,8 @@ class EllipticOperator:
                 raise ValueError("derivative must be none, spatial or full")
             if order < 0 or int(order) != order:
                 raise ValueError("order must be a nonnegative integer")
-        if not (times > 0).all():  # a NaN time fails too
-            raise ValueError("time must be positive")
+        if not (np.isfinite(times) & (times > 0)).all():
+            raise ValueError("time must be positive and finite")
         cols, batch = self._as_columns(f)
         n, h, shape = self.grid.n, self.grid.h, self.grid.shape
         L, B = times.size, cols.shape[1]
@@ -645,10 +646,10 @@ _DB_TOL = 1e-14
 _DB_CAP = 20
 
 
-def _sqrtm(A):
-    """Principal square root of A, by the product form of the Denman-Beavers
-    iteration with scalar scaling (Higham, Functions of Matrices, 2008,
-    6.3):
+def _sqrtm(G, shift):
+    """Principal square root of A = G + shift (the scalar added to every
+    entry), by the product form of the Denman-Beavers iteration with scalar
+    scaling (Higham, Functions of Matrices, 2008, 6.3):
 
         M_{k+1} = (I + (mu_k^2 M_k + mu_k^-2 M_k^{-1}) / 2) / 2,    M_0 = A,
         Y_{k+1} = mu_k Y_k (I + mu_k^-2 M_k^{-1}) / 2,              Y_0 = A,
@@ -661,8 +662,15 @@ def _sqrtm(A):
     inverse. An eigenvalue on the closed negative real axis has no
     principal root; the iteration then does not converge, and after _DB_CAP
     steps this raises.
+
+    The iteration takes the generator and the shift, as _pade13 takes the
+    generator and the scale, and forms M_0 itself, so the caller holds no
+    shifted copy. It folds the quarter inverse into M in place and drops
+    the inverse before taking the next one, so M and Y are the only work
+    matrices live at each inverse; the peak is four, at the product Y T.
     """
-    M = np.array(A, dtype=complex)
+    M = np.array(G, dtype=complex)
+    M += shift
     Y = M.copy()
     T = np.linalg.inv(M)
     lo, hi = np.linalg.norm(T, 1) ** -0.5, np.linalg.norm(M, 1) ** 0.5
@@ -674,7 +682,9 @@ def _sqrtm(A):
         Y = Y @ T
         Y *= mu / 2
         M *= mu * mu / 4
-        M += T / 4
+        T *= 0.25  # exact: M += T / 4 without its temporary
+        M += T
+        del T
         _add_identity(M, -0.75)  # M_{k+1} - I
         if np.linalg.norm(M, 1) <= _DB_TOL:
             return Y
@@ -766,9 +776,12 @@ def offdiagonal_opnorm(op, family, order, derivative, t, E, Fs):
 
     Every norm comes from one ladder call on the batch of |E| unit fields of
     E; the norm of that block's rows on F is its largest singular value,
-    exact up to the SVD's roundoff. E and each F are cell indices in
-    [0, ncells), nonempty, and each F is disjoint from E.
+    exact up to the SVD's roundoff. Fs names at least one set; E and each F
+    are cell indices in [0, ncells), nonempty, and each F is disjoint from
+    E.
     """
+    if len(Fs) == 0:
+        raise ValueError("Fs must name at least one set F")
     E, *Fs = (np.unique(np.asarray(cells, dtype=int)) for cells in (E, *Fs))
     for cells in (E, *Fs):
         if cells.size == 0:

@@ -384,7 +384,7 @@ def test_sqrtm_residual_recorded():
 def test_sqrtm_residual_guard(monkeypatch):
     g = Grid(1, 16)
     op = assemble(g, CoefficientField.preset(g, "perturbed"))
-    monkeypatch.setattr(el.sla, "sqrtm", lambda A: np.eye(A.shape[0], dtype=complex))
+    monkeypatch.setattr(el.sla, "sqrtm", lambda G, shift: np.eye(G.shape[0], dtype=complex))
     with pytest.raises(RuntimeError, match="sqrtm residual"):
         op.poisson(0.2, 0, np.ones(g.shape))
 
@@ -399,9 +399,9 @@ def _count_dense_builds(monkeypatch, op):
         calls["expm"].append((c * G).tobytes())
         return real_expm(G, c)
 
-    def sqrtm(A):
+    def sqrtm(G, shift):
         calls["sqrtm"] += 1
-        return real_sqrtm(A)
+        return real_sqrtm(G, shift)
 
     def cached(key, build):
         def counted():
@@ -648,7 +648,8 @@ def test_sqrtm_matches_scipy_within_eight_steps(monkeypatch, coeff, off_axis):
     # eight steps, on real spectra and on spectra far off the real axis
     op = assemble(coeff.grid, coeff)
     assert op.report.tier == "dense-fallback"
-    A = op.matrix + 1.0 / coeff.grid.ncells
+    shift = 1.0 / coeff.grid.ncells
+    A = op.matrix + shift
     angles = np.degrees(np.abs(np.angle(np.linalg.eigvals(A))))
     assert angles.max() >= off_axis
     steps = []
@@ -659,10 +660,39 @@ def test_sqrtm_matches_scipy_within_eight_steps(monkeypatch, coeff, off_axis):
         return real_inv(X)
 
     monkeypatch.setattr(el.np.linalg, "inv", inv)
-    got = el._sqrtm(A)
+    got = el._sqrtm(op.matrix, shift)
     want = sla.sqrtm(A)
     assert len(steps) <= 8
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_sqrtm_enters_each_inverse_with_two_matrices(monkeypatch):
+    # the root of the 2-D N=16 perturbed stencil, which the operator holds:
+    # at every inverse only M and Y are live above the stencil, and the
+    # traced peak is the product Y T (M, Y, T and the new Y). A caller's
+    # shifted copy or the previous inverse would add one matrix each
+    g = Grid(2, 16)
+    op = assemble(g, CoefficientField.preset(g, "perturbed"))
+    size = op.matrix.nbytes
+    live = []
+    real_inv = el.np.linalg.inv
+
+    def inv(X):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return real_inv(X)
+
+    monkeypatch.setattr(el.np.linalg, "inv", inv)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        op._sqrt_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = [(m - base) / size for m in live]
+    assert len(held) >= 2
+    assert max(held) <= 2.1, held
+    assert (peak - base) / size <= 4.1, (peak - base) / size
 
 
 @pytest.mark.parametrize("eigs", [(-1.0, 2.0, 3.0), (-4.0, 0.5, 1.0, 9.0), (-1e-3, 1.0, 2.0)])
@@ -674,7 +704,7 @@ def test_sqrtm_raises_on_negative_eigenvalue(eigs):
     Q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3 * np.eye(n)
     for A in (np.diag(eigs).astype(complex), Q @ np.diag(eigs) @ np.linalg.inv(Q)):
         with pytest.raises(RuntimeError, match="did not converge"):
-            el._sqrtm(A)
+            el._sqrtm(A, 0.0)
 
 
 def test_dense_expm_arguments_within_theta13(monkeypatch):
@@ -1357,6 +1387,29 @@ def test_offdiagonal_opnorm_many_targets_is_one_target_each(fix, request):
         assert got == want, (family, t, order, derivative)
 
 
+@pytest.mark.parametrize("tier", ["fft", "dense-fallback"])
+def test_infinite_time_rejected_and_caches_nothing(tier):
+    # an infinite time is refused before any evaluation: the dense tier
+    # would otherwise cache a NaN root under ("h", inf), and every later
+    # request on the operator would fail in the octave search of _level
+    g = Grid(1, 8)
+    preset = "laplace" if tier == "fft" else "perturbed"
+    op = assemble(g, CoefficientField.preset(g, preset))
+    assert op.report.tier == tier
+    f = np.ones(g.shape)
+    for evaluate in (lambda: op.heat(math.inf, 0, f), lambda: op.poisson(math.inf, 0, f),
+                     lambda: op.ladder("heat", 1, "full", (0.1, math.inf), f),
+                     lambda: op.ladder("poisson", 0, "none", (-math.inf,), f)):
+        with pytest.raises(ValueError, match="time must be positive and finite"):
+            evaluate()
+    assert not any(isinstance(key, tuple) for key in op._cache)
+    fresh = assemble(g, CoefficientField.preset(g, preset))
+    for family in ("heat", "poisson"):
+        got = getattr(op, family)(0.1, 0, f)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, getattr(fresh, family)(0.1, 0, f))
+
+
 def test_request_validation(lap1):
     f = np.ones(lap1.grid.shape)
     with pytest.raises(ValueError, match="family must be heat or poisson"):
@@ -1386,7 +1439,7 @@ def _unit_fields(grid, cells):
     return np.eye(grid.ncells)[cells].reshape(len(cells), *grid.shape)
 
 
-def test_restricted_opnorm_validation(lap1_128):
+def test_restricted_opnorm_validation(lap1_128, monkeypatch):
     g = lap1_128.grid
     E, F = _interval_sets(g, 0.2, 0.5, 0.05)
     with pytest.raises(ValueError, match="disjoint"):
@@ -1406,6 +1459,10 @@ def test_restricted_opnorm_validation(lap1_128):
             offdiagonal_opnorm(op, "heat", 0, "none", 0.1, E, [F])
     # the cells at either end of the range are accepted
     assert offdiagonal_opnorm(op, "heat", 0, "none", 0.1, [0], [[g.ncells - 1]])[0] > 0
+    # no target set is refused before the unit fields of E are evaluated
+    monkeypatch.setattr(op, "ladders", lambda *args: pytest.fail("ladders called"))
+    with pytest.raises(ValueError, match="at least one set F"):
+        offdiagonal_opnorm(op, "heat", 0, "none", 0.1, [0, 1], [])
 
 
 def test_offdiagonal_gaussian_decay(lap1_128):
